@@ -21,7 +21,7 @@
 use heimdall_bench::{Args, Json, RunReport};
 use heimdall_core::collect::{collect, reads_only};
 use heimdall_core::features::{build_dataset_reference, build_dataset_view, FeatureSpec};
-use heimdall_core::labeling::{period_label, tune_thresholds};
+use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
 use heimdall_core::ReadView;
 use heimdall_nn::Dataset;
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -68,11 +68,11 @@ fn main() {
     let mut dev = SsdDevice::new(dev_cfg, seed ^ 1);
     let records = collect(&trace, &mut dev);
     let reads = reads_only(&records);
-    let th = tune_thresholds(&reads);
-    let labels = period_label(&reads, &th);
+    let view = ReadView::from(&reads);
+    let th = tune_thresholds_view(&view);
+    let labels = period_label_view(&view, &th);
     let keep = vec![true; reads.len()];
     let spec = FeatureSpec::full(3);
-    let view = ReadView::from(&reads[..]);
     println!("featurize input: {} reads, dim {}", reads.len(), spec.dim());
 
     // --- Parity gates (always, before any timing).

@@ -2,10 +2,10 @@
 //! filtering, feature extraction, and full training throughput.
 
 use heimdall_bench::timing::Group;
-use heimdall_core::features::{build_dataset, FeatureSpec};
-use heimdall_core::filtering::{filter, FilterConfig};
-use heimdall_core::labeling::{period_label, tune_thresholds, PeriodThresholds};
-use heimdall_core::{collect, IoRecord};
+use heimdall_core::features::{build_dataset_view, FeatureSpec};
+use heimdall_core::filtering::{filter_view, FilterConfig};
+use heimdall_core::labeling::{period_label_view, tune_thresholds_view, PeriodThresholds};
+use heimdall_core::{collect, IoRecord, ReadView};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
@@ -25,18 +25,25 @@ fn records() -> Vec<IoRecord> {
 
 fn bench_stages() {
     let reads = records();
+    let view = ReadView::from(&reads);
     let th = PeriodThresholds::default();
-    let labels = period_label(&reads, &th);
+    let labels = period_label_view(&view, &th);
     let keep = vec![true; reads.len()];
 
     let g = Group::new("pipeline_stages").sample_size(20);
-    g.bench("period_label", || period_label(black_box(&reads), &th));
-    g.bench("tune_thresholds", || tune_thresholds(black_box(&reads)));
+    g.bench("period_label", || period_label_view(black_box(&view), &th));
+    g.bench("tune_thresholds", || tune_thresholds_view(black_box(&view)));
     g.bench("noise_filter", || {
-        filter(black_box(&reads), &labels, &FilterConfig::default())
+        filter_view(black_box(&view), &labels, &FilterConfig::default())
     });
     g.bench("feature_extraction", || {
-        build_dataset(black_box(&reads), &labels, &keep, &FeatureSpec::heimdall())
+        build_dataset_view(
+            black_box(&view),
+            &labels,
+            &keep,
+            &FeatureSpec::heimdall(),
+            1,
+        )
     });
 }
 

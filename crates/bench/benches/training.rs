@@ -8,13 +8,13 @@
 use heimdall_bench::report::RunReport;
 use heimdall_bench::timing::Group;
 use heimdall_bench::Json;
-use heimdall_core::features::{build_dataset, build_joint_dataset, FeatureSpec};
-use heimdall_core::filtering::{filter, FilterConfig};
+use heimdall_core::features::{build_dataset_view, build_joint_dataset_view, FeatureSpec};
+use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{
-    period_label, period_label_with, tune_thresholds, tune_thresholds_reference,
-    tune_thresholds_with, LabelingScratch, PeriodThresholds,
+    period_label_view, period_label_with_view, tune_thresholds_reference, tune_thresholds_view,
+    tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
 };
-use heimdall_core::{collect, IoRecord};
+use heimdall_core::{collect, IoRecord, ReadView};
 use heimdall_nn::{Dataset, Mlp, MlpConfig, TrainOpts};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
@@ -37,12 +37,11 @@ fn reads(secs: u64) -> Vec<IoRecord> {
 }
 
 /// A realistic training set: tuned labels, filtered, Heimdall features.
-fn training_set(reads: &[IoRecord]) -> Dataset {
-    let th = tune_thresholds(reads);
-    let labels = period_label(reads, &th);
-    let (keep, _) = filter(reads, &labels, &FilterConfig::default());
-    let (data, _) = build_dataset(reads, &labels, &keep, &FeatureSpec::heimdall());
-    data
+fn training_set(view: &ReadView<'_>) -> Dataset {
+    let th = tune_thresholds_view(view);
+    let labels = period_label_view(view, &th);
+    let (keep, _) = filter_view(view, &labels, &FilterConfig::default());
+    build_dataset_view(view, &labels, &keep, &FeatureSpec::heimdall(), 1).0
 }
 
 fn bench_opts() -> TrainOpts {
@@ -53,22 +52,23 @@ fn bench_opts() -> TrainOpts {
 }
 
 /// One joint-sweep cell's feature build for group width `p`.
-fn build_width(reads: &[IoRecord], labels: &[bool], keep: &[bool], p: usize) -> Dataset {
+fn build_width(view: &ReadView<'_>, labels: &[bool], keep: &[bool], p: usize) -> Dataset {
     if p <= 1 {
-        build_dataset(reads, labels, keep, &FeatureSpec::heimdall()).0
+        build_dataset_view(view, labels, keep, &FeatureSpec::heimdall(), 1).0
     } else {
-        build_joint_dataset(reads, labels, keep, 3, p).0
+        build_joint_dataset_view(view, labels, keep, 3, p, 1).0
     }
 }
 
 /// The pre-optimization fig15 train stage: every width re-runs the
 /// rebuild-per-evaluation tuner and trains sample-at-a-time.
 fn joint_stage_reference(reads: &[IoRecord], widths: &[usize], opts: &TrainOpts) {
+    let view = ReadView::from(reads);
     for &p in widths {
         let th = tune_thresholds_reference(reads);
-        let labels = period_label(reads, &th);
-        let (keep, _) = filter(reads, &labels, &FilterConfig::default());
-        let data = build_width(reads, &labels, &keep, p);
+        let labels = period_label_view(&view, &th);
+        let (keep, _) = filter_view(&view, &labels, &FilterConfig::default());
+        let data = build_width(&view, &labels, &keep, p);
         let mut mlp = Mlp::new(MlpConfig::heimdall(data.dim), 5);
         mlp.train_reference(&data, opts);
         black_box(mlp);
@@ -78,13 +78,13 @@ fn joint_stage_reference(reads: &[IoRecord], widths: &[usize], opts: &TrainOpts)
 /// The optimized fig15 train stage: one scratch-backed tuner pass shared
 /// across the widths (what the sweep's `StageCache` provides), batched
 /// backprop per width.
-fn joint_stage_optimized(reads: &[IoRecord], widths: &[usize], opts: &TrainOpts) {
-    let scratch = LabelingScratch::new(reads, PeriodThresholds::default().window_us);
-    let th = tune_thresholds_with(reads, &scratch);
-    let labels = period_label_with(reads, &th, &scratch);
-    let (keep, _) = filter(reads, &labels, &FilterConfig::default());
+fn joint_stage_optimized(view: &ReadView<'_>, widths: &[usize], opts: &TrainOpts) {
+    let scratch = LabelingScratch::new_view(view, PeriodThresholds::default().window_us);
+    let th = tune_thresholds_with_view(view, &scratch);
+    let labels = period_label_with_view(view, &th, &scratch);
+    let (keep, _) = filter_view(view, &labels, &FilterConfig::default());
     for &p in widths {
-        let data = build_width(reads, &labels, &keep, p);
+        let data = build_width(view, &labels, &keep, p);
         let mut mlp = Mlp::new(MlpConfig::heimdall(data.dim), 5);
         mlp.train(&data, opts);
         black_box(mlp);
@@ -106,12 +106,13 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let reads = reads(12);
+    let view = ReadView::from(&reads);
     let opts = bench_opts();
     let mut report = RunReport::new("training", 1);
     report.set("records", Json::from(reads.len() as u64));
 
     // --- (a) backprop: batched kernel vs per-sample reference.
-    let data = training_set(&reads);
+    let data = training_set(&view);
     let g = Group::new("backprop").sample_size(7);
     let batched_ns = g.bench("train_batched", || {
         let mut mlp = Mlp::new(MlpConfig::heimdall(data.dim), 5);
@@ -127,7 +128,7 @@ fn main() {
 
     // --- (b) threshold tuner: precomputed scratch vs rebuild-per-eval.
     let g = Group::new("tuner").sample_size(7);
-    let tuner_ns = g.bench("tune_thresholds", || tune_thresholds(black_box(&reads)));
+    let tuner_ns = g.bench("tune_thresholds", || tune_thresholds_view(black_box(&view)));
     let tuner_ref_ns = g.bench("tune_thresholds_reference", || {
         tune_thresholds_reference(black_box(&reads))
     });
@@ -135,7 +136,7 @@ fn main() {
 
     // --- (c) fig15-style joint sweep, tuner + training combined.
     let widths = [1usize, 3, 5];
-    let optimized_s = median_secs(3, || joint_stage_optimized(&reads, &widths, &opts));
+    let optimized_s = median_secs(3, || joint_stage_optimized(&view, &widths, &opts));
     let reference_s = median_secs(3, || joint_stage_reference(&reads, &widths, &opts));
     let joint_speedup = reference_s / optimized_s;
     println!("group: joint_train_stage");

@@ -45,6 +45,7 @@ fn main() {
                     c
                 },
                 s,
+                None,
             ) else {
                 continue;
             };

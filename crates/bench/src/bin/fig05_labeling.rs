@@ -9,11 +9,13 @@
 //! Usage: `fig05_labeling [--datasets N] [--secs S] [--seed K] [--jobs J]`
 
 use heimdall_bench::{print_header, print_row, record_pool, Args};
-use heimdall_core::features::{build_dataset, FeatureSpec};
-use heimdall_core::filtering::{filter, FilterConfig};
-use heimdall_core::labeling::{labeling_accuracy, period_label, tune_thresholds};
+use heimdall_core::features::{build_dataset_view, FeatureSpec};
+use heimdall_core::filtering::{filter_view, FilterConfig};
+use heimdall_core::labeling::{
+    cutoff_label_view, labeling_accuracy_view, period_label_view, tune_thresholds_view,
+};
 use heimdall_core::pipeline::{run, LabelingMode, PipelineConfig};
-use heimdall_core::IoRecord;
+use heimdall_core::{IoRecord, ReadView};
 use heimdall_metrics::ConfusionMatrix;
 
 /// Ground-truth AUC-style score of a trained model's decisions.
@@ -24,7 +26,13 @@ fn truth_decision_accuracy(trained: &heimdall_core::Trained, records: &[IoRecord
         return None;
     }
     let keep = vec![true; reads.len()];
-    let (data, _) = build_dataset(&reads, &truth, &keep, &FeatureSpec::heimdall());
+    let (data, _) = build_dataset_view(
+        &ReadView::from(&reads),
+        &truth,
+        &keep,
+        &FeatureSpec::heimdall(),
+        1,
+    );
     let (_, test) = data.split(0.5);
     if test.is_empty() {
         return None;
@@ -51,11 +59,12 @@ fn main() {
         if !reads.iter().any(|r| r.truth_busy) {
             continue;
         }
-        let cutoff = heimdall_core::labeling::cutoff_label(&reads);
-        let th = tune_thresholds(&reads);
-        let period = period_label(&reads, &th);
-        label_acc[0] += labeling_accuracy(&reads, &cutoff);
-        label_acc[1] += labeling_accuracy(&reads, &period);
+        let view = ReadView::from(&reads);
+        let cutoff = cutoff_label_view(&view);
+        let th = tune_thresholds_view(&view);
+        let period = period_label_view(&view, &th);
+        label_acc[0] += labeling_accuracy_view(&view, &cutoff);
+        label_acc[1] += labeling_accuracy_view(&view, &period);
         n_label += 1;
 
         let mut cutoff_cfg = PipelineConfig::heimdall();
@@ -113,8 +122,9 @@ fn main() {
             if reads.len() < 1000 {
                 continue;
             }
-            let th = tune_thresholds(&reads);
-            let labels = period_label(&reads, &th);
+            let view = ReadView::from(&reads);
+            let th = tune_thresholds_view(&view);
+            let labels = period_label_view(&view, &th);
             let mut cfg = FilterConfig {
                 stage1: false,
                 stage2: false,
@@ -122,7 +132,7 @@ fn main() {
                 ..Default::default()
             };
             enable(&mut cfg);
-            let (keep, stats) = filter(&reads, &labels, &cfg);
+            let (keep, stats) = filter_view(&view, &labels, &cfg);
             removed += stats.total();
             // Train WITHOUT filtering; measure error on the rows the stage
             // flags as noise (they should be the hardest to predict).
@@ -131,11 +141,12 @@ fn main() {
             let Ok((model, _)) = run(&reads, &pcfg) else {
                 continue;
             };
-            let (data, src) = build_dataset(
-                &reads,
+            let (data, src) = build_dataset_view(
+                &view,
                 &labels,
                 &vec![true; reads.len()],
                 &FeatureSpec::heimdall(),
+                1,
             );
             let scores = model.predict_dataset(&data);
             let mut cm = ConfusionMatrix::default();

@@ -8,9 +8,9 @@
 //! Usage: `fig07_features [--datasets N] [--secs S] [--seed K] [--jobs J]`
 
 use heimdall_bench::{print_header, print_row, record_pool, Args};
-use heimdall_core::features::{build_dataset, feature_correlations, Feature, FeatureSpec};
+use heimdall_core::features::{build_dataset_view, feature_correlations, Feature, FeatureSpec};
 use heimdall_core::pipeline::{run, FeatureMode, PipelineConfig};
-use heimdall_core::IoRecord;
+use heimdall_core::{IoRecord, ReadView};
 use heimdall_nn::ScalerKind;
 
 fn mean_auc(pool: &[Vec<IoRecord>], cfg: &PipelineConfig) -> (f64, usize) {
@@ -43,12 +43,13 @@ fn main() {
     let mut corr_sum: Vec<(f64, usize)> = vec![(0.0, 0); spec.columns.len()];
     for records in &pool {
         let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-        let th = heimdall_core::labeling::tune_thresholds(&reads);
-        let labels = heimdall_core::labeling::period_label(&reads, &th);
+        let view = ReadView::from(&reads);
+        let th = heimdall_core::labeling::tune_thresholds_view(&view);
+        let labels = heimdall_core::labeling::period_label_view(&view, &th);
         if !labels.iter().any(|&l| l) {
             continue;
         }
-        let (data, _) = build_dataset(&reads, &labels, &vec![true; reads.len()], &spec);
+        let (data, _) = build_dataset_view(&view, &labels, &vec![true; reads.len()], &spec, 1);
         for (f, c) in feature_correlations(&data, &spec) {
             let i = spec
                 .columns

@@ -14,10 +14,10 @@
 //! worker count.
 
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
-use heimdall_core::features::{build_dataset, FeatureSpec};
-use heimdall_core::filtering::{filter, FilterConfig};
-use heimdall_core::labeling::{period_label, tune_thresholds};
-use heimdall_core::IoRecord;
+use heimdall_core::features::{build_dataset_view, FeatureSpec};
+use heimdall_core::filtering::{filter_view, FilterConfig};
+use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
+use heimdall_core::{IoRecord, ReadView};
 use heimdall_metrics::stats::{mean, std_dev};
 use heimdall_models::{
     AdaBoost, Classifier, GradientBoosting, KNearestNeighbors, LogisticRegression, MlpWrapper,
@@ -28,13 +28,14 @@ use heimdall_nn::{Dataset, Scaler, ScalerKind};
 /// Builds the scaled Heimdall-feature train/test split for one record set.
 fn prepare(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
     let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    let th = tune_thresholds(&reads);
-    let labels = period_label(&reads, &th);
+    let view = ReadView::from(&reads);
+    let th = tune_thresholds_view(&view);
+    let labels = period_label_view(&view, &th);
     if !labels.iter().any(|&l| l) {
         return None;
     }
-    let (keep, _) = filter(&reads, &labels, &FilterConfig::default());
-    let (data, _) = build_dataset(&reads, &labels, &keep, &FeatureSpec::heimdall());
+    let (keep, _) = filter_view(&view, &labels, &FilterConfig::default());
+    let (data, _) = build_dataset_view(&view, &labels, &keep, &FeatureSpec::heimdall(), 1);
     let (mut train, mut test) = data.split(0.5);
     // Both halves need enough slow evidence for a meaningful comparison.
     let train_pos = (train.positive_rate() * train.rows() as f64) as usize;

@@ -16,8 +16,8 @@
 
 use heimdall_bench::{fmt_us, print_header, print_row, run_ordered, Args};
 use heimdall_cluster::wide::{run_wide, WideConfig, WidePolicy, WideResult};
-use heimdall_core::pipeline::{run_cached, PipelineConfig, Trained};
-use heimdall_core::{IoRecord, StageCache};
+use heimdall_core::pipeline::{run_view, PipelineConfig, Trained};
+use heimdall_core::{IoRecord, ReadView, StageCache};
 use heimdall_ssd::SsdDevice;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, PAGE_SIZE};
@@ -65,7 +65,7 @@ fn train_osd_models(cfg: &WideConfig, cache: &StageCache) -> Vec<Trained> {
             }
             let mut pcfg = PipelineConfig::heimdall();
             pcfg.seed = cfg.seed + osd as u64;
-            run_cached(&log, &pcfg, cache)
+            run_view(&ReadView::from(&log), &pcfg, Some(cache))
                 .map(|(m, _)| m)
                 .unwrap_or_else(|_| Trained::always_admit(&pcfg))
         })

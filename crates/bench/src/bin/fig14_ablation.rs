@@ -16,8 +16,8 @@
 //! Usage: `fig14_ablation [--datasets N] [--secs S] [--seed K] [--jobs J]`
 
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
-use heimdall_core::pipeline::{run_cached, FeatureMode, LabelingMode, ModelArch, PipelineConfig};
-use heimdall_core::{IoRecord, StageCache};
+use heimdall_core::pipeline::{run_view, FeatureMode, LabelingMode, ModelArch, PipelineConfig};
+use heimdall_core::{IoRecord, ReadView, StageCache};
 use heimdall_metrics::MetricReport;
 use heimdall_nn::ScalerKind;
 
@@ -88,9 +88,13 @@ fn main() {
     let cache = StageCache::new();
     // Keep only datasets with learnable contention under the final config.
     let usable_mask = run_ordered(jobs, pool.iter().collect(), |r: &&Vec<IoRecord>| {
-        run_cached(r, &PipelineConfig::heimdall(), &cache)
-            .map(|(_, rep)| rep.slow_fraction > 0.001)
-            .unwrap_or(false)
+        run_view(
+            &ReadView::from(*r),
+            &PipelineConfig::heimdall(),
+            Some(&cache),
+        )
+        .map(|(_, rep)| rep.slow_fraction > 0.001)
+        .unwrap_or(false)
     });
     let usable: Vec<&Vec<IoRecord>> = pool
         .iter()
@@ -107,7 +111,7 @@ fn main() {
         .flat_map(|si| (0..usable.len()).map(move |di| (si, di)))
         .collect();
     let metrics: Vec<Option<MetricReport>> = run_ordered(jobs, cells, |&(si, di)| {
-        run_cached(usable[di], &all[si].1, &cache)
+        run_view(&ReadView::from(usable[di]), &all[si].1, Some(&cache))
             .ok()
             .map(|(_, report)| report.metrics)
     });

@@ -22,8 +22,8 @@
 use heimdall_bench::report::RunReport;
 use heimdall_bench::sweep::joint_replay_sweep;
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args, Json};
-use heimdall_core::pipeline::{run_cached, PipelineConfig};
-use heimdall_core::StageCache;
+use heimdall_core::pipeline::{run_view, PipelineConfig};
+use heimdall_core::{ReadView, StageCache};
 use heimdall_nn::{Mlp, MlpConfig, QuantizedMlp};
 use heimdall_trace::rng::Rng64;
 use std::time::Instant;
@@ -104,7 +104,7 @@ fn main() {
     let cell_aucs: Vec<Option<f64>> = run_ordered(jobs, cells, |&(p, di)| {
         let mut cfg = PipelineConfig::heimdall();
         cfg.joint = p;
-        run_cached(&pool[di], &cfg, &cache)
+        run_view(&ReadView::from(&pool[di]), &cfg, Some(&cache))
             .ok()
             .filter(|(_, rep)| rep.slow_fraction > 0.0)
             .map(|(_, rep)| rep.metrics.roc_auc)

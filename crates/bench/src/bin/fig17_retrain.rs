@@ -16,8 +16,7 @@
 
 use heimdall_bench::{print_header, print_row, run_ordered, Args};
 use heimdall_core::retrain::{
-    evaluate_drift_retraining_cached, evaluate_retraining_cached, evaluate_static_cached,
-    RetrainConfig,
+    evaluate_drift_retraining, evaluate_retraining, evaluate_static, RetrainConfig,
 };
 use heimdall_core::{collect, PipelineConfig, StageCache};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -94,11 +93,11 @@ fn main() {
     let cache = StageCache::new();
     let cache = &cache;
     let reports = run_ordered(jobs, (0..5usize).collect(), |&i| match i {
-        0 => evaluate_static_cached(&records, minute, &cfg, Some(cache)),
-        1 => evaluate_static_cached(&records, minute * 5, &cfg, Some(cache)),
-        2 => evaluate_static_cached(&records, minute * 15, &cfg, Some(cache)),
-        3 => evaluate_retraining_cached(&records, &cfg, Some(cache)),
-        _ => evaluate_drift_retraining_cached(&records, &cfg, Some(cache)),
+        0 => evaluate_static(&records, minute, &cfg, Some(cache)),
+        1 => evaluate_static(&records, minute * 5, &cfg, Some(cache)),
+        2 => evaluate_static(&records, minute * 15, &cfg, Some(cache)),
+        3 => evaluate_retraining(&records, &cfg, Some(cache)),
+        _ => evaluate_drift_retraining(&records, &cfg, Some(cache)),
     });
     let fmt_series = |report: &heimdall_core::retrain::RetrainReport| {
         let series: Vec<String> = report

@@ -15,10 +15,10 @@
 //! deterministic for a given seed regardless of worker count.
 
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
-use heimdall_core::features::{build_dataset, FeatureSpec};
-use heimdall_core::labeling::cutoff_label;
-use heimdall_core::pipeline::{run_cached, PipelineConfig};
-use heimdall_core::{Feature, IoRecord, StageCache};
+use heimdall_core::features::{build_dataset_view, FeatureSpec};
+use heimdall_core::labeling::cutoff_label_view;
+use heimdall_core::pipeline::{run_view, PipelineConfig};
+use heimdall_core::{Feature, IoRecord, ReadView, StageCache};
 use heimdall_metrics::stats::{cosine_similarity, mean};
 use heimdall_models::automl::Family;
 use heimdall_nn::Dataset;
@@ -30,7 +30,8 @@ use std::time::Instant;
 /// feature engineering (§8.2: "without the manual feature engineering").
 fn raw_dataset(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
     let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    let labels = cutoff_label(&reads);
+    let view = ReadView::from(&reads);
+    let labels = cutoff_label_view(&view);
     if !labels.iter().any(|&l| l) {
         return None;
     }
@@ -43,7 +44,7 @@ fn raw_dataset(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
         ],
         hist_depth: 1,
     };
-    let (data, _) = build_dataset(&reads, &labels, &vec![true; reads.len()], &spec);
+    let (data, _) = build_dataset_view(&view, &labels, &vec![true; reads.len()], &spec, 1);
     let (train, test) = data.split(0.5);
     if train.is_empty() || test.is_empty() || test.positive_rate() == 0.0 {
         return None;
@@ -122,10 +123,14 @@ fn main() {
     let cache = StageCache::new();
     let cache = &cache;
     let heimdall_auc: Vec<f64> = run_ordered(jobs, pool.iter().collect(), |r: &&Vec<IoRecord>| {
-        run_cached(r, &PipelineConfig::heimdall(), cache)
-            .ok()
-            .filter(|(_, rep)| rep.slow_fraction > 0.0)
-            .map(|(_, rep)| rep.metrics.roc_auc)
+        run_view(
+            &ReadView::from(*r),
+            &PipelineConfig::heimdall(),
+            Some(cache),
+        )
+        .ok()
+        .filter(|(_, rep)| rep.slow_fraction > 0.0)
+        .map(|(_, rep)| rep.metrics.roc_auc)
     })
     .into_iter()
     .flatten()

@@ -4,7 +4,7 @@
 use crate::report::Json;
 use crate::runner::run_ordered;
 use heimdall_cluster::replayer::{merge_homed, replay_homed, HomedRequest, ReplayResult};
-use heimdall_cluster::train::{fresh_devices_with_plans, train_homed_cached};
+use heimdall_cluster::train::{fresh_devices_with_plans, train_homed};
 use heimdall_core::pipeline::{PipelineConfig, PipelineError, Trained};
 use heimdall_core::stage_cache::StageCache;
 use heimdall_policies::{Ams, Baseline, FallbackPolicy, Hedging, Heron, Policy, RandomSelect, C3};
@@ -159,7 +159,7 @@ impl ExperimentSetup {
         if self.heimdall_models.is_none() {
             let mut cfg = PipelineConfig::heimdall();
             cfg.seed = self.seed;
-            self.heimdall_models = Some(train_homed_cached(
+            self.heimdall_models = Some(train_homed(
                 &self.requests,
                 &self.device_cfgs,
                 &cfg,
@@ -174,7 +174,7 @@ impl ExperimentSetup {
         if self.linnos_models.is_none() {
             let mut cfg = PipelineConfig::linnos_baseline();
             cfg.seed = self.seed;
-            self.linnos_models = Some(train_homed_cached(
+            self.linnos_models = Some(train_homed(
                 &self.requests,
                 &self.device_cfgs,
                 &cfg,
@@ -192,7 +192,7 @@ impl ExperimentSetup {
             cfg.joint = p;
             self.joint_models = Some((
                 p,
-                train_homed_cached(
+                train_homed(
                     &self.requests,
                     &self.device_cfgs,
                     &cfg,

@@ -30,5 +30,5 @@ pub mod wide;
 
 pub use eventq::EventQueue;
 pub use replayer::{replay, DeviceLane, ReplayProfile, ReplayResult};
-pub use train::{fresh_devices, fresh_devices_with_plans, train_models};
+pub use train::{fresh_devices, fresh_devices_with_plans};
 pub use wide::{run_wide, run_wide_reference, WideConfig, WidePolicy, WideResult};

@@ -6,65 +6,27 @@
 //! one [`Trained`] model per device.
 
 use crate::replayer::HomedRequest;
-use heimdall_core::collect::{collect_batch, submit_one, IoRecord, RecordBatch};
-use heimdall_core::pipeline::{
-    run_batch, run_cached_batch, PipelineConfig, PipelineError, Trained,
-};
+use heimdall_core::collect::{submit_one, ReadView, RecordBatch};
+use heimdall_core::pipeline::{run_view, PipelineConfig, PipelineError, Trained};
 use heimdall_core::stage_cache::StageCache;
 use heimdall_ssd::{DeviceConfig, FaultPlan, SsdDevice};
-use heimdall_trace::{IoOp, Trace};
-
-/// Trains one model per device configuration by replaying `trace` through a
-/// fresh instance of each device.
-///
-/// `seed` derives the per-device simulator seeds; use the same seed the
-/// experiment will use for its devices so the profiling run sees the same
-/// device behaviour distribution.
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`] from the first device whose profiling data
-/// cannot train a model.
-pub fn train_models(
-    trace: &Trace,
-    cfgs: &[DeviceConfig],
-    pipeline: &PipelineConfig,
-    seed: u64,
-) -> Result<Vec<Trained>, PipelineError> {
-    cfgs.iter()
-        .enumerate()
-        .map(|(i, cfg)| {
-            let mut dev = SsdDevice::new(cfg.clone(), seed + i as u64);
-            let batch = collect_batch(trace, &mut dev);
-            run_batch(&batch, pipeline).map(|(model, _)| model)
-        })
-        .collect()
-}
+use heimdall_trace::IoOp;
 
 /// Profiles a homed request stream with admission disabled (reads go to
 /// their home device, writes are replicated), returning each device's I/O
 /// log — what a storage operator would capture before enabling decisions
-/// (§2).
-pub fn profile_homed(
-    requests: &[HomedRequest],
-    cfgs: &[DeviceConfig],
-    seed: u64,
-) -> Vec<Vec<IoRecord>> {
-    profile_homed_batches(requests, cfgs, seed)
-        .iter()
-        .map(RecordBatch::to_records)
-        .collect()
-}
-
-/// [`profile_homed`] in columnar form: each device's log lands directly in
-/// a [`RecordBatch`], which the batch-native pipeline entry points consume
-/// without ever materializing `Vec<IoRecord>` rows.
+/// (§2). Each log lands directly in a columnar [`RecordBatch`], which the
+/// pipeline consumes without ever materializing `Vec<IoRecord>` rows. An
+/// empty fleet yields no logs.
 pub fn profile_homed_batches(
     requests: &[HomedRequest],
     cfgs: &[DeviceConfig],
     seed: u64,
 ) -> Vec<RecordBatch> {
     let mut devices = fresh_devices(cfgs, seed);
+    let Some(last) = devices.len().checked_sub(1) else {
+        return Vec::new();
+    };
     let mut logs: Vec<RecordBatch> = (0..devices.len()).map(|_| RecordBatch::new()).collect();
     for h in requests {
         match h.req.op {
@@ -74,7 +36,7 @@ pub fn profile_homed_batches(
                 }
             }
             IoOp::Read => {
-                let home = h.home.min(devices.len() - 1);
+                let home = h.home.min(last);
                 logs[home].push(submit_one(&h.req, &mut devices[home]));
             }
         }
@@ -86,6 +48,11 @@ pub fn profile_homed_batches(
 /// stream: each device's model learns from exactly the I/Os that device
 /// served, matching a real per-device deployment.
 ///
+/// With a sweep-shared [`StageCache`], cells profiling the same stream
+/// onto the same devices tune, label and filter each device log once —
+/// even when they train different feature modes or joint widths on it.
+/// Models are identical with or without the cache.
+///
 /// # Errors
 ///
 /// Propagates the first device's [`PipelineError`].
@@ -94,34 +61,12 @@ pub fn train_homed(
     cfgs: &[DeviceConfig],
     pipeline: &PipelineConfig,
     seed: u64,
-) -> Result<Vec<Trained>, PipelineError> {
-    train_homed_cached(requests, cfgs, pipeline, seed, None)
-}
-
-/// [`train_homed`] with the threshold-tuning/labeling/filtering stages
-/// optionally served through a sweep-shared [`StageCache`]: cells
-/// profiling the same stream onto the same devices tune, label and filter
-/// each device log once — even when they train different feature modes or
-/// joint widths on it. Models are identical with or without the cache.
-///
-/// # Errors
-///
-/// Propagates the first device's [`PipelineError`].
-pub fn train_homed_cached(
-    requests: &[HomedRequest],
-    cfgs: &[DeviceConfig],
-    pipeline: &PipelineConfig,
-    seed: u64,
     cache: Option<&StageCache>,
 ) -> Result<Vec<Trained>, PipelineError> {
     profile_homed_batches(requests, cfgs, seed)
         .into_iter()
-        .map(|log| {
-            let trained = match cache {
-                Some(c) => run_cached_batch(&log, pipeline, c),
-                None => run_batch(&log, pipeline),
-            };
-            match trained {
+        .map(
+            |log| match run_view(&ReadView::from(&log), pipeline, cache) {
                 Ok((m, _)) => Ok(m),
                 // A device whose log cannot train (no reads, too short) gets
                 // a safe always-admit model — exactly how a deployment
@@ -129,8 +74,8 @@ pub fn train_homed_cached(
                 Err(
                     PipelineError::NoRecords | PipelineError::NoRows | PipelineError::EmptySplit,
                 ) => Ok(Trained::always_admit(pipeline)),
-            }
-        })
+            },
+        )
         .collect()
 }
 
@@ -176,19 +121,45 @@ mod tests {
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::WorkloadProfile;
 
+    /// A Tencent-like stream with every read homed on device `i % 2`.
+    fn homed_stream(seed: u64, secs: u64) -> Vec<HomedRequest> {
+        TraceBuilder::from_profile(WorkloadProfile::TencentLike)
+            .seed(seed)
+            .duration_secs(secs)
+            .build()
+            .requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, req)| HomedRequest { req, home: i % 2 })
+            .collect()
+    }
+
     #[test]
     fn trains_one_model_per_device() {
-        let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
-            .seed(61)
-            .duration_secs(15)
-            .build();
+        let requests = homed_stream(61, 15);
         let mut cfg = DeviceConfig::consumer_nvme();
         cfg.free_pool = 1 << 30;
-        let models =
-            train_models(&trace, &[cfg.clone(), cfg], &PipelineConfig::heimdall(), 62).unwrap();
+        let models = train_homed(
+            &requests,
+            &[cfg.clone(), cfg],
+            &PipelineConfig::heimdall(),
+            62,
+            None,
+        )
+        .unwrap();
         assert_eq!(models.len(), 2);
         // Distinct device seeds see distinct contention; the models differ.
         assert_ne!(models[0].mlp.flat_params(), models[1].mlp.flat_params());
+    }
+
+    #[test]
+    fn empty_fleet_profiles_to_no_logs() {
+        // `home.min(devices.len() - 1)` used to underflow on the first read.
+        let requests = homed_stream(63, 1);
+        assert!(requests.iter().any(|h| h.req.op == IoOp::Read));
+        assert!(profile_homed_batches(&requests, &[], 9).is_empty());
+        let models = train_homed(&requests, &[], &PipelineConfig::heimdall(), 9, None).unwrap();
+        assert!(models.is_empty());
     }
 
     #[test]

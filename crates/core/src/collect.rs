@@ -168,12 +168,6 @@ impl RecordBatch {
 /// Requests are submitted open-loop at their trace arrival times, matching
 /// the paper's replayer (§6.1).
 pub fn collect(trace: &Trace, device: &mut SsdDevice) -> Vec<IoRecord> {
-    collect_reference(trace, device)
-}
-
-/// The row-form collection loop (the seed path, kept as the parity
-/// reference for [`collect_batch`]).
-pub fn collect_reference(trace: &Trace, device: &mut SsdDevice) -> Vec<IoRecord> {
     let mut out = Vec::with_capacity(trace.len());
     for req in &trace.requests {
         out.push(submit_one(req, device));
@@ -248,6 +242,18 @@ pub enum ReadView<'a> {
 impl<'a> From<&'a [IoRecord]> for ReadView<'a> {
     fn from(records: &'a [IoRecord]) -> Self {
         ReadView::Slice(records)
+    }
+}
+
+impl<'a> From<&'a Vec<IoRecord>> for ReadView<'a> {
+    fn from(records: &'a Vec<IoRecord>) -> Self {
+        ReadView::Slice(records)
+    }
+}
+
+impl<'a> From<&'a RecordBatch> for ReadView<'a> {
+    fn from(batch: &'a RecordBatch) -> Self {
+        ReadView::Batch(batch)
     }
 }
 
@@ -407,7 +413,7 @@ mod tests {
             .build();
         let mut dev_rows = SsdDevice::new(DeviceConfig::datacenter_nvme(), 7);
         let mut dev_cols = SsdDevice::new(DeviceConfig::datacenter_nvme(), 7);
-        let rows = collect_reference(&trace, &mut dev_rows);
+        let rows = collect(&trace, &mut dev_rows);
         let batch = collect_batch(&trace, &mut dev_cols);
         assert_eq!(batch.len(), rows.len());
         assert_eq!(batch.to_records(), rows);
@@ -432,8 +438,8 @@ mod tests {
         let batch = RecordBatch::from_records(&recs);
         let all: Vec<u32> = (0..batch.len() as u32).collect();
         let views = [
-            ReadView::from(recs.as_slice()),
-            ReadView::Batch(&batch),
+            ReadView::from(&recs),
+            ReadView::from(&batch),
             ReadView::Indexed {
                 batch: &batch,
                 idx: &all,

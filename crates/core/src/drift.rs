@@ -191,7 +191,8 @@ impl DriftDetector {
     ) -> Option<DriftDetector> {
         let labels = vec![false; records.len()];
         let keep = vec![true; records.len()];
-        let (data, _) = crate::features::build_dataset(records, &labels, &keep, spec);
+        let view = crate::collect::ReadView::from(records);
+        let (data, _) = crate::features::build_dataset_view(&view, &labels, &keep, spec, 1);
         Self::fit(&data)
     }
 }

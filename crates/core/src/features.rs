@@ -596,40 +596,21 @@ fn walk_with_history<F: FnMut(usize, &History)>(records: &[IoRecord], depth: usi
     }
 }
 
-/// Builds a raw dataset for the given spec (columnar engine, single shard).
+/// Builds a raw dataset for the given spec (columnar engine) over any
+/// [`ReadView`] — slice, columnar batch, or an index-filtered batch, so
+/// batch-native callers skip materializing `Vec<IoRecord>` entirely.
 ///
 /// Rows are emitted only for *read* records that (a) survive the `keep`
 /// mask and (b) have a full history (warmup records are skipped). Returns
 /// the dataset plus the source record index of each row. Byte-identical to
 /// [`build_dataset_reference`] (the retained row-at-a-time seed path).
 ///
+/// Shards are extracted on `jobs` scoped threads and concatenated in
+/// shard order — byte-identical output at any job count.
+///
 /// # Panics
 ///
-/// Panics if mask/label lengths mismatch the records.
-pub fn build_dataset(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-    spec: &FeatureSpec,
-) -> (Dataset, Vec<usize>) {
-    build_dataset_jobs(records, labels, keep, spec, 1)
-}
-
-/// [`build_dataset`] with shards extracted on `jobs` scoped threads and
-/// concatenated in shard order — byte-identical output at any job count.
-pub fn build_dataset_jobs(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-    spec: &FeatureSpec,
-    jobs: usize,
-) -> (Dataset, Vec<usize>) {
-    build_dataset_view(&ReadView::from(records), labels, keep, spec, jobs)
-}
-
-/// [`build_dataset_jobs`] over any [`ReadView`] (slice, columnar batch, or
-/// an index-filtered batch), so batch-native callers skip materializing
-/// `Vec<IoRecord>` entirely.
+/// Panics if mask/label lengths mismatch the view.
 pub fn build_dataset_view(
     view: &ReadView<'_>,
     labels: &[bool],
@@ -692,7 +673,7 @@ pub fn build_dataset_stats(
 }
 
 /// The seed row-at-a-time builder, kept as the parity reference for
-/// [`build_dataset`]: walks records with a [`History`] ring and extracts
+/// [`build_dataset_view`]: walks records with a [`History`] ring and extracts
 /// each row through [`FeatureSpec::row_into`].
 ///
 /// # Panics
@@ -786,26 +767,8 @@ pub const LINNOS_DIM: usize = 31;
 /// Builds LinnOS' 31-feature digitized dataset: 3 digits of pending queue
 /// length, 3 digits × 4 historical queue lengths, 4 digits × 4 historical
 /// latencies (latencies in tens of microseconds to fit 4 digits). Columnar
-/// engine; byte-identical to [`build_linnos_dataset_reference`].
-pub fn build_linnos_dataset(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-) -> (Dataset, Vec<usize>) {
-    build_linnos_dataset_jobs(records, labels, keep, 1)
-}
-
-/// [`build_linnos_dataset`] with sharded parallel extraction.
-pub fn build_linnos_dataset_jobs(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-    jobs: usize,
-) -> (Dataset, Vec<usize>) {
-    build_linnos_dataset_view(&ReadView::from(records), labels, keep, jobs)
-}
-
-/// [`build_linnos_dataset_jobs`] over any [`ReadView`].
+/// engine over any [`ReadView`], sharded over `jobs` threads; byte-identical
+/// to [`build_linnos_dataset_reference`] at any job count.
 ///
 /// # Panics
 ///
@@ -855,7 +818,7 @@ pub fn build_linnos_dataset_view(
 }
 
 /// The seed row-at-a-time LinnOS builder, kept as the parity reference for
-/// [`build_linnos_dataset`].
+/// [`build_linnos_dataset_view`].
 ///
 /// # Panics
 ///
@@ -897,36 +860,10 @@ pub fn build_linnos_dataset_reference(
 /// of `p` consecutive kept reads. Features are the first member's queue
 /// length, the shared pre-group history (depth triples), and the `p` member
 /// sizes; the aligned label is slow when *any* member is slow. Columnar
-/// engine; byte-identical to [`build_joint_dataset_reference`].
+/// engine over any [`ReadView`], sharded over groups on `jobs` threads;
+/// byte-identical to [`build_joint_dataset_reference`] at any job count.
 ///
 /// Returns the dataset plus, per row, the source indices of the group.
-///
-/// # Panics
-///
-/// Panics if `p == 0` or the mask/label lengths mismatch.
-pub fn build_joint_dataset(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-    hist_depth: usize,
-    p: usize,
-) -> (Dataset, Vec<Vec<usize>>) {
-    build_joint_dataset_jobs(records, labels, keep, hist_depth, p, 1)
-}
-
-/// [`build_joint_dataset`] with sharded parallel extraction over groups.
-pub fn build_joint_dataset_jobs(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-    hist_depth: usize,
-    p: usize,
-    jobs: usize,
-) -> (Dataset, Vec<Vec<usize>>) {
-    build_joint_dataset_view(&ReadView::from(records), labels, keep, hist_depth, p, jobs)
-}
-
-/// [`build_joint_dataset_jobs`] over any [`ReadView`].
 ///
 /// # Panics
 ///
@@ -987,7 +924,7 @@ pub fn build_joint_dataset_view(
 }
 
 /// The seed row-at-a-time joint builder, kept as the parity reference for
-/// [`build_joint_dataset`].
+/// [`build_joint_dataset_view`].
 ///
 /// # Panics
 ///
@@ -1078,7 +1015,13 @@ mod tests {
     #[test]
     fn warmup_rows_are_skipped() {
         let (recs, labels, keep) = stream(20);
-        let (data, sources) = build_dataset(&recs, &labels, &keep, &FeatureSpec::heimdall());
+        let (data, sources) = build_dataset_view(
+            &ReadView::from(&recs),
+            &labels,
+            &keep,
+            &FeatureSpec::heimdall(),
+            1,
+        );
         // The first 3 reads can't have a full history.
         assert_eq!(data.rows(), 17);
         assert_eq!(sources[0], 3);
@@ -1096,7 +1039,7 @@ mod tests {
         let labels = vec![false; 3];
         let keep = vec![true; 3];
         let spec = FeatureSpec::with_depth(1);
-        let (data, sources) = build_dataset(&recs, &labels, &keep, &spec);
+        let (data, sources) = build_dataset_view(&ReadView::from(&recs), &labels, &keep, &spec, 1);
         // Row for record 2 (only one with full history): its histLat must be
         // from record 1 or 0; both completed by t=20_000. Newest completion
         // is record 0 (finish 10_000) vs record 1 (finish 150) — newest
@@ -1120,7 +1063,7 @@ mod tests {
         let labels = vec![false; 3];
         let keep = vec![true; 3];
         let spec = FeatureSpec::with_depth(2);
-        let (data, sources) = build_dataset(&recs, &labels, &keep, &spec);
+        let (data, sources) = build_dataset_view(&ReadView::from(&recs), &labels, &keep, &spec, 1);
         assert_eq!(sources, vec![2]);
         assert_eq!(data.rows(), 1);
     }
@@ -1129,7 +1072,13 @@ mod tests {
     fn keep_mask_excludes_rows() {
         let (recs, labels, mut keep) = stream(20);
         keep[10] = false;
-        let (_, sources) = build_dataset(&recs, &labels, &keep, &FeatureSpec::heimdall());
+        let (_, sources) = build_dataset_view(
+            &ReadView::from(&recs),
+            &labels,
+            &keep,
+            &FeatureSpec::heimdall(),
+            1,
+        );
         assert!(!sources.contains(&10));
     }
 
@@ -1151,7 +1100,7 @@ mod tests {
         }
         let keep = vec![true; recs.len()];
         let spec = FeatureSpec::heimdall();
-        let (data, src) = build_dataset(&recs, &labels, &keep, &spec);
+        let (data, src) = build_dataset_view(&ReadView::from(&recs), &labels, &keep, &spec, 1);
         let kept_labels: Vec<f32> = src
             .iter()
             .map(|&i| f32::from(u8::from(labels[i])))
@@ -1173,7 +1122,7 @@ mod tests {
         }
         let keep = vec![true; recs.len()];
         let spec = FeatureSpec::full(3);
-        let (data, _) = build_dataset(&recs, &labels, &keep, &spec);
+        let (data, _) = build_dataset_view(&ReadView::from(&recs), &labels, &keep, &spec, 1);
         let selected = select_features(&data, &spec, 0.1);
         assert!(!selected.columns.contains(&Feature::Timestamp));
         assert!(selected.columns.contains(&Feature::QueueLen));
@@ -1182,7 +1131,7 @@ mod tests {
     #[test]
     fn linnos_dataset_is_31_wide() {
         let (recs, labels, keep) = stream(30);
-        let (data, _) = build_linnos_dataset(&recs, &labels, &keep);
+        let (data, _) = build_linnos_dataset_view(&ReadView::from(&recs), &labels, &keep, 1);
         assert_eq!(data.dim, LINNOS_DIM);
         assert!(data.rows() > 0);
         // Every cell is a digit.
@@ -1194,7 +1143,8 @@ mod tests {
     #[test]
     fn joint_groups_are_disjoint_and_sized() {
         let (recs, labels, keep) = stream(50);
-        let (data, groups) = build_joint_dataset(&recs, &labels, &keep, 3, 5);
+        let (data, groups) =
+            build_joint_dataset_view(&ReadView::from(&recs), &labels, &keep, 3, 5, 1);
         assert_eq!(data.dim, 1 + 9 + 5);
         for g in &groups {
             assert_eq!(g.len(), 5);
@@ -1209,7 +1159,8 @@ mod tests {
     fn joint_label_is_any_slow() {
         let (recs, mut labels, keep) = stream(50);
         labels[10] = true; // one slow member
-        let (data, groups) = build_joint_dataset(&recs, &labels, &keep, 3, 5);
+        let (data, groups) =
+            build_joint_dataset_view(&ReadView::from(&recs), &labels, &keep, 3, 5, 1);
         for (row, g) in groups.iter().enumerate() {
             let want = g.iter().any(|&i| labels[i]);
             assert_eq!(data.y[row] >= 0.5, want);
@@ -1228,7 +1179,7 @@ mod tests {
     #[should_panic(expected = "joint size must be positive")]
     fn joint_zero_panics() {
         let (recs, labels, keep) = stream(5);
-        build_joint_dataset(&recs, &labels, &keep, 3, 0);
+        build_joint_dataset_view(&ReadView::from(&recs), &labels, &keep, 3, 0, 1);
     }
 
     /// Adversarial mixed stream: writes interleaved, long-inflight I/Os
@@ -1262,6 +1213,32 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Calls `f` with the three [`ReadView`] forms of one log: the row
+    /// slice, the whole batch, and an index projection that selects the
+    /// log back out of a batch interleaved with decoy records.
+    fn each_form(recs: &[IoRecord], mut f: impl FnMut(&str, &ReadView<'_>)) {
+        let batch = RecordBatch::from_records(recs);
+        let mut padded = RecordBatch::new();
+        for &r in recs {
+            padded.push(IoRecord {
+                latency_us: r.latency_us + 7,
+                queue_len: r.queue_len + 1,
+                ..r
+            });
+            padded.push(r);
+        }
+        let idx: Vec<u32> = (0..recs.len() as u32).map(|i| 2 * i + 1).collect();
+        f("slice", &ReadView::Slice(recs));
+        f("batch", &ReadView::Batch(&batch));
+        f(
+            "indexed",
+            &ReadView::Indexed {
+                batch: &padded,
+                idx: &idx,
+            },
+        );
+    }
+
     #[test]
     fn columnar_matches_reference_bitwise() {
         let (recs, labels, keep) = mixed_stream(120);
@@ -1284,16 +1261,22 @@ mod tests {
             deep_offsets,
         ] {
             let (want, want_src) = build_dataset_reference(&recs, &labels, &keep, &spec);
-            for jobs in [1, 3, 8] {
-                let (got, got_src) = build_dataset_jobs(&recs, &labels, &keep, &spec, jobs);
-                assert_eq!(got_src, want_src, "sources diverged at jobs={jobs}");
-                assert_eq!(
-                    bits(&got.y),
-                    bits(&want.y),
-                    "labels diverged at jobs={jobs}"
-                );
-                assert_eq!(bits(&got.x), bits(&want.x), "x diverged at jobs={jobs}");
-            }
+            each_form(&recs, |form, view| {
+                for jobs in [1, 3, 8] {
+                    let (got, got_src) = build_dataset_view(view, &labels, &keep, &spec, jobs);
+                    assert_eq!(got_src, want_src, "{form}: sources diverged at jobs={jobs}");
+                    assert_eq!(
+                        bits(&got.y),
+                        bits(&want.y),
+                        "{form}: labels diverged at jobs={jobs}"
+                    );
+                    assert_eq!(
+                        bits(&got.x),
+                        bits(&want.x),
+                        "{form}: x diverged at jobs={jobs}"
+                    );
+                }
+            });
         }
     }
 
@@ -1303,10 +1286,12 @@ mod tests {
             let (recs, labels, keep) = mixed_stream(n);
             let spec = FeatureSpec::heimdall();
             let (want, want_src) = build_dataset_reference(&recs, &labels, &keep, &spec);
-            let (got, got_src) = build_dataset_jobs(&recs, &labels, &keep, &spec, 4);
-            assert_eq!(got_src, want_src);
-            assert_eq!(bits(&got.x), bits(&want.x));
-            assert_eq!(got.rows(), want.rows());
+            each_form(&recs, |form, view| {
+                let (got, got_src) = build_dataset_view(view, &labels, &keep, &spec, 4);
+                assert_eq!(got_src, want_src, "{form}");
+                assert_eq!(bits(&got.x), bits(&want.x), "{form}");
+                assert_eq!(got.rows(), want.rows(), "{form}");
+            });
         }
     }
 
@@ -1314,12 +1299,14 @@ mod tests {
     fn columnar_linnos_matches_reference_bitwise() {
         let (recs, labels, keep) = mixed_stream(90);
         let (want, want_src) = build_linnos_dataset_reference(&recs, &labels, &keep);
-        for jobs in [1, 5] {
-            let (got, got_src) = build_linnos_dataset_jobs(&recs, &labels, &keep, jobs);
-            assert_eq!(got_src, want_src);
-            assert_eq!(bits(&got.y), bits(&want.y));
-            assert_eq!(bits(&got.x), bits(&want.x));
-        }
+        each_form(&recs, |form, view| {
+            for jobs in [1, 5] {
+                let (got, got_src) = build_linnos_dataset_view(view, &labels, &keep, jobs);
+                assert_eq!(got_src, want_src, "{form} jobs={jobs}");
+                assert_eq!(bits(&got.y), bits(&want.y), "{form} jobs={jobs}");
+                assert_eq!(bits(&got.x), bits(&want.x), "{form} jobs={jobs}");
+            }
+        });
     }
 
     #[test]
@@ -1328,13 +1315,15 @@ mod tests {
         for (depth, p) in [(3usize, 5usize), (0, 2), (2, 7)] {
             let (want, want_groups) =
                 build_joint_dataset_reference(&recs, &labels, &keep, depth, p);
-            for jobs in [1, 4] {
-                let (got, got_groups) =
-                    build_joint_dataset_jobs(&recs, &labels, &keep, depth, p, jobs);
-                assert_eq!(got_groups, want_groups, "depth {depth} p {p}");
-                assert_eq!(bits(&got.y), bits(&want.y));
-                assert_eq!(bits(&got.x), bits(&want.x));
-            }
+            each_form(&recs, |form, view| {
+                for jobs in [1, 4] {
+                    let (got, got_groups) =
+                        build_joint_dataset_view(view, &labels, &keep, depth, p, jobs);
+                    assert_eq!(got_groups, want_groups, "{form}: depth {depth} p {p}");
+                    assert_eq!(bits(&got.y), bits(&want.y), "{form}");
+                    assert_eq!(bits(&got.x), bits(&want.x), "{form}");
+                }
+            });
         }
     }
 
@@ -1343,7 +1332,7 @@ mod tests {
         use heimdall_nn::{Scaler, ScalerKind};
         let (recs, labels, keep) = mixed_stream(150);
         let spec = FeatureSpec::heimdall();
-        let view = ReadView::from(recs.as_slice());
+        let view = ReadView::from(&recs);
         let (data, _, stats) = build_dataset_stats(&view, &labels, &keep, &spec, 3, 0.5);
         let (train, _) = data.split(0.5);
         assert_eq!(stats.rows, train.rows());

@@ -9,7 +9,7 @@
 //! Filtering marks rows for *exclusion from training*; it never rewrites
 //! labels, matching the paper's "remove them from the dataset" wording.
 
-use crate::collect::{IoRecord, ReadView};
+use crate::collect::ReadView;
 use heimdall_metrics::stats::{median, quantile};
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +26,7 @@ pub struct FilterConfig {
     /// transient outlier.
     pub fast_outlier_q: f64,
     /// Stage 3 burst-length threshold; bursts of at most this many
-    /// consecutive slow I/Os are removed. `0` lets [`filter`] auto-tune it.
+    /// consecutive slow I/Os are removed. `0` lets [`filter_view`] auto-tune it.
     pub max_short_burst: usize,
 }
 
@@ -62,22 +62,8 @@ impl FilterStats {
     }
 }
 
-/// Runs the 3-stage filter. Returns a keep-mask (same length as `records`)
-/// and per-stage statistics.
-///
-/// # Panics
-///
-/// Panics if `records` and `labels` lengths differ.
-pub fn filter(
-    records: &[IoRecord],
-    labels: &[bool],
-    cfg: &FilterConfig,
-) -> (Vec<bool>, FilterStats) {
-    filter_view(&ReadView::from(records), labels, cfg)
-}
-
-/// [`filter`] over any [`ReadView`] — the view is the canonical
-/// implementation; the slice entry point wraps it.
+/// Runs the 3-stage filter over any [`ReadView`]. Returns a keep-mask
+/// (same length as the view) and per-stage statistics.
 ///
 /// # Panics
 ///
@@ -208,26 +194,10 @@ fn tune_burst_threshold(runs: &[(usize, usize, bool)]) -> usize {
     best
 }
 
-/// Applies a keep-mask, returning the surviving `(records, labels)`.
-pub fn apply_mask(
-    records: &[IoRecord],
-    labels: &[bool],
-    keep: &[bool],
-) -> (Vec<IoRecord>, Vec<bool>) {
-    let mut r = Vec::new();
-    let mut l = Vec::new();
-    for i in 0..records.len() {
-        if keep[i] {
-            r.push(records[i]);
-            l.push(labels[i]);
-        }
-    }
-    (r, l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect::IoRecord;
     use heimdall_trace::IoOp;
 
     fn rec(lat: u64, size: u32, t: u64) -> IoRecord {
@@ -275,7 +245,7 @@ mod tests {
             stage3: false,
             ..Default::default()
         };
-        let (keep, stats) = filter(&recs, &labels, &cfg);
+        let (keep, stats) = filter_view(&ReadView::from(&recs), &labels, &cfg);
         assert_eq!(stats.slow_period_outliers, 3);
         // Only the lucky ones are dropped.
         for i in 0..recs.len() {
@@ -298,7 +268,7 @@ mod tests {
             stage3: false,
             ..Default::default()
         };
-        let (keep, stats) = filter(&recs, &labels, &cfg);
+        let (keep, stats) = filter_view(&ReadView::from(&recs), &labels, &cfg);
         assert_eq!(stats.fast_period_outliers, 1);
         assert!(!keep[200]);
     }
@@ -322,7 +292,7 @@ mod tests {
             max_short_burst: 3,
             ..Default::default()
         };
-        let (keep, stats) = filter(&recs, &labels, &cfg);
+        let (keep, stats) = filter_view(&ReadView::from(&recs), &labels, &cfg);
         assert_eq!(stats.short_bursts, 2);
         // The long run survives.
         let surviving_slow = labels.iter().zip(&keep).filter(|(&l, &k)| l && k).count();
@@ -359,23 +329,22 @@ mod tests {
             stage3: false,
             ..Default::default()
         };
-        let (keep, stats) = filter(&recs, &labels, &cfg);
+        let (keep, stats) = filter_view(&ReadView::from(&recs), &labels, &cfg);
         assert!(keep.iter().all(|&k| k));
         assert_eq!(stats.total(), 0);
     }
 
     #[test]
-    fn apply_mask_consistency() {
+    fn keep_mask_count_matches_stats() {
         let (recs, labels) = slow_period_with_lucky_ios();
-        let (keep, stats) = filter(&recs, &labels, &FilterConfig::default());
-        let (r2, l2) = apply_mask(&recs, &labels, &keep);
-        assert_eq!(r2.len(), l2.len());
-        assert_eq!(r2.len(), recs.len() - stats.total());
+        let (keep, stats) = filter_view(&ReadView::from(&recs), &labels, &FilterConfig::default());
+        let kept = keep.iter().filter(|&&k| k).count();
+        assert_eq!(kept, recs.len() - stats.total());
     }
 
     #[test]
     fn empty_input_ok() {
-        let (keep, stats) = filter(&[], &[], &FilterConfig::default());
+        let (keep, stats) = filter_view(&ReadView::Slice(&[]), &[], &FilterConfig::default());
         assert!(keep.is_empty());
         assert_eq!(stats.total(), 0);
     }
@@ -384,6 +353,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let (recs, _) = slow_period_with_lucky_ios();
-        filter(&recs, &[true], &FilterConfig::default());
+        filter_view(&ReadView::from(&recs), &[true], &FilterConfig::default());
     }
 }

@@ -48,13 +48,8 @@ impl Default for PeriodThresholds {
 /// point with maximum distance from the chord connecting the distribution's
 /// endpoints. Everything above the cutoff is labeled slow.
 ///
-/// Returns one label per record (`true` = slow).
-pub fn cutoff_label(records: &[IoRecord]) -> Vec<bool> {
-    cutoff_label_view(&ReadView::from(records))
-}
-
-/// [`cutoff_label`] over any [`ReadView`] (slice, columnar batch, or an
-/// indexed read subset) — the view is the canonical implementation.
+/// Returns one label per record (`true` = slow), over any [`ReadView`]
+/// (slice, columnar batch, or an indexed read subset).
 pub fn cutoff_label_view(view: &ReadView<'_>) -> Vec<bool> {
     let n = view.len();
     if n == 0 {
@@ -102,12 +97,9 @@ fn knee_point(sorted: &[f64]) -> f64 {
 /// internal contention (amplified reads) or queue build-up drives health
 /// toward 0. This one signal captures both throughput collapse under load
 /// and latency inflation on lightly-loaded devices.
-pub fn device_throughput(records: &[IoRecord], window_us: u64) -> Vec<f64> {
-    device_throughput_view(&ReadView::from(records), window_us)
-}
-
-/// [`device_throughput`] over any [`ReadView`]; produces bitwise-identical
-/// health series for the same logical records regardless of layout.
+///
+/// Produces bitwise-identical health series for the same logical records
+/// regardless of the [`ReadView`] layout.
 pub fn device_throughput_view(view: &ReadView<'_>, window_us: u64) -> Vec<f64> {
     let n = view.len();
     if n == 0 {
@@ -170,9 +162,9 @@ pub fn device_throughput_view(view: &ReadView<'_>, window_us: u64) -> Vec<f64> {
 
 /// Threshold-independent labeling state, computed once per trace.
 ///
-/// Everything in [`period_label`] that does not depend on the candidate
+/// Everything in [`period_label_view`] that does not depend on the candidate
 /// [`PeriodThresholds`] lives here: the device-health series from
-/// [`device_throughput`] (sorted completions, per-bucket baselines,
+/// [`device_throughput_view`] (sorted completions, per-bucket baselines,
 /// medians) and the sorted latency / health arrays behind the quantile
 /// cuts. The tuner never varies `window_us`, so its ~27 grid + ~144
 /// descent objective evaluations can share one scratch and do O(n)
@@ -189,11 +181,6 @@ pub struct LabelingScratch {
 
 impl LabelingScratch {
     /// Builds the scratch for one trace and throughput window.
-    pub fn new(records: &[IoRecord], window_us: u64) -> LabelingScratch {
-        LabelingScratch::new_view(&ReadView::from(records), window_us)
-    }
-
-    /// [`LabelingScratch::new`] over any [`ReadView`].
     pub fn new_view(view: &ReadView<'_>, window_us: u64) -> LabelingScratch {
         let lats: Vec<f64> = (0..view.len()).map(|i| view.latency_us(i) as f64).collect();
         let thpts = device_throughput_view(view, window_us);
@@ -227,11 +214,6 @@ impl LabelingScratch {
 /// device throughput stays below the trace median.
 ///
 /// Returns one label per record (`true` = slow / decline).
-pub fn period_label(records: &[IoRecord], th: &PeriodThresholds) -> Vec<bool> {
-    period_label_view(&ReadView::from(records), th)
-}
-
-/// [`period_label`] over any [`ReadView`].
 pub fn period_label_view(view: &ReadView<'_>, th: &PeriodThresholds) -> Vec<bool> {
     if view.is_empty() {
         return Vec::new();
@@ -239,23 +221,14 @@ pub fn period_label_view(view: &ReadView<'_>, th: &PeriodThresholds) -> Vec<bool
     period_label_with_view(view, th, &LabelingScratch::new_view(view, th.window_us))
 }
 
-/// [`period_label`] from a prebuilt [`LabelingScratch`]: O(n) relabeling,
-/// no re-sort, no device-throughput rebuild. Returns exactly the labels
-/// [`period_label`] would.
+/// [`period_label_view`] from a prebuilt [`LabelingScratch`]: O(n)
+/// relabeling, no re-sort, no device-throughput rebuild. Returns exactly
+/// the labels [`period_label_view`] would.
 ///
 /// # Panics
 ///
 /// Panics if the scratch was built for a different record count or
 /// throughput window than `th` asks for.
-pub fn period_label_with(
-    records: &[IoRecord],
-    th: &PeriodThresholds,
-    scratch: &LabelingScratch,
-) -> Vec<bool> {
-    period_label_with_view(&ReadView::from(records), th, scratch)
-}
-
-/// [`period_label_with`] over any [`ReadView`].
 pub fn period_label_with_view(
     view: &ReadView<'_>,
     th: &PeriodThresholds,
@@ -267,7 +240,7 @@ pub fn period_label_with_view(
     labels
 }
 
-/// Relabeling core shared by [`period_label_with`] and the tuner: reuses
+/// Relabeling core shared by [`period_label_with_view`] and the tuner: reuses
 /// the caller's `labels` / `seeds` buffers across evaluations. The records
 /// themselves are only consulted through the scratch, so the core takes
 /// just the expected record count.
@@ -338,16 +311,11 @@ fn period_label_into(
 /// Objective the threshold search maximizes (Fig 3d): class-separation
 /// "accuracy" balanced against "sensitivity" (slow fraction), with a strong
 /// penalty for degenerate labelings.
-pub fn labeling_objective(records: &[IoRecord], labels: &[bool]) -> f64 {
-    labeling_objective_scratch(&ReadView::from(records), labels, &mut Vec::new())
-}
-
-/// [`labeling_objective`] over any [`ReadView`].
 pub fn labeling_objective_view(view: &ReadView<'_>, labels: &[bool]) -> f64 {
     labeling_objective_scratch(view, labels, &mut Vec::new())
 }
 
-/// [`labeling_objective`] on a reused latency buffer: the only allocation
+/// [`labeling_objective_view`] on a reused latency buffer: the only allocation
 /// the hot tuner loop would otherwise make per evaluation.
 fn labeling_objective_scratch(view: &ReadView<'_>, labels: &[bool], buf: &mut Vec<f64>) -> f64 {
     let n = view.len();
@@ -404,11 +372,6 @@ fn labeling_objective_scratch(view: &ReadView<'_>, labels: &[bool], buf: &mut Ve
 /// Builds one [`LabelingScratch`] up front; every objective evaluation is
 /// then an O(n) relabel on reused buffers. Returns bitwise-identical
 /// thresholds to [`tune_thresholds_reference`].
-pub fn tune_thresholds(records: &[IoRecord]) -> PeriodThresholds {
-    tune_thresholds_view(&ReadView::from(records))
-}
-
-/// [`tune_thresholds`] over any [`ReadView`].
 pub fn tune_thresholds_view(view: &ReadView<'_>) -> PeriodThresholds {
     if view.len() < 32 {
         return PeriodThresholds::default();
@@ -417,19 +380,14 @@ pub fn tune_thresholds_view(view: &ReadView<'_>) -> PeriodThresholds {
     tune_thresholds_with_view(view, &scratch)
 }
 
-/// [`tune_thresholds`] from a caller-prebuilt [`LabelingScratch`], so the
-/// pipeline can share one scratch between the tuner and the final labeling
-/// pass.
+/// [`tune_thresholds_view`] from a caller-prebuilt [`LabelingScratch`], so
+/// the pipeline can share one scratch between the tuner and the final
+/// labeling pass.
 ///
 /// # Panics
 ///
 /// Panics if the scratch was built for a different trace or window than
 /// the default thresholds use.
-pub fn tune_thresholds_with(records: &[IoRecord], scratch: &LabelingScratch) -> PeriodThresholds {
-    tune_thresholds_with_view(&ReadView::from(records), scratch)
-}
-
-/// [`tune_thresholds_with`] over any [`ReadView`].
 pub fn tune_thresholds_with_view(
     view: &ReadView<'_>,
     scratch: &LabelingScratch,
@@ -456,9 +414,10 @@ pub fn tune_thresholds_reference(records: &[IoRecord]) -> PeriodThresholds {
     if records.len() < 32 {
         return PeriodThresholds::default();
     }
+    let view = ReadView::from(records);
     search_thresholds(|t| {
-        let scratch = LabelingScratch::new(records, t.window_us);
-        labeling_objective(records, &period_label_with(records, t, &scratch))
+        let scratch = LabelingScratch::new_view(&view, t.window_us);
+        labeling_objective_view(&view, &period_label_with_view(&view, t, &scratch))
     })
 }
 
@@ -521,11 +480,6 @@ fn search_thresholds(mut eval: impl FnMut(&PeriodThresholds) -> f64) -> PeriodTh
 /// Scores labels against the simulator's ground-truth busy flags
 /// (evaluation only — this is how Fig 5a compares cutoff vs period).
 /// Returns balanced accuracy, since busy periods are the rare class.
-pub fn labeling_accuracy(records: &[IoRecord], labels: &[bool]) -> f64 {
-    labeling_accuracy_view(&ReadView::from(records), labels)
-}
-
-/// [`labeling_accuracy`] over any [`ReadView`].
 pub fn labeling_accuracy_view(view: &ReadView<'_>, labels: &[bool]) -> f64 {
     let n = view.len();
     debug_assert_eq!(n, labels.len());
@@ -628,15 +582,16 @@ mod tests {
     #[test]
     fn period_label_finds_busy_window() {
         let recs = synthetic_busy_window();
-        let labels = period_label(&recs, &test_thresholds());
-        let acc = labeling_accuracy(&recs, &labels);
+        let view = ReadView::from(&recs);
+        let labels = period_label_view(&view, &test_thresholds());
+        let acc = labeling_accuracy_view(&view, &labels);
         assert!(acc > 0.7, "balanced accuracy {acc}");
     }
 
     #[test]
     fn period_label_does_not_flag_big_healthy_ios() {
         let recs = big_healthy_mix();
-        let labels = period_label(&recs, &test_thresholds());
+        let labels = period_label_view(&ReadView::from(&recs), &test_thresholds());
         let big_flagged = recs
             .iter()
             .zip(&labels)
@@ -654,7 +609,7 @@ mod tests {
         // Same scenario: the cutoff labeler flags the big I/Os — exactly
         // the Fig 3b failure the paper motivates with.
         let recs = big_healthy_mix();
-        let labels = cutoff_label(&recs);
+        let labels = cutoff_label_view(&ReadView::from(&recs));
         let big_flagged = recs
             .iter()
             .zip(&labels)
@@ -698,8 +653,9 @@ mod tests {
             max_drop: 0.35,
             ..Default::default()
         };
-        let period = period_label(&recs, &th);
-        let cutoff = cutoff_label(&recs);
+        let view = ReadView::from(&recs);
+        let period = period_label_view(&view, &th);
+        let cutoff = cutoff_label_view(&view);
         let big_mislabels = |labels: &[bool]| {
             recs.iter()
                 .zip(labels)
@@ -723,7 +679,7 @@ mod tests {
     #[test]
     fn device_throughput_drops_during_busy_window() {
         let recs = synthetic_busy_window();
-        let thpts = device_throughput(&recs, 5_000);
+        let thpts = device_throughput_view(&ReadView::from(&recs), 5_000);
         let fast_mean: f64 = thpts[50..300].iter().sum::<f64>() / 250.0;
         // Late in the busy window the completion rate has collapsed.
         let busy_mean: f64 = thpts[325..340].iter().sum::<f64>() / 15.0;
@@ -738,7 +694,7 @@ mod tests {
         let recs: Vec<IoRecord> = (0..200)
             .map(|i| rec(i * 200, 100 + i % 7, 4096, false))
             .collect();
-        let health = device_throughput(&recs, 5_000);
+        let health = device_throughput_view(&ReadView::from(&recs), 5_000);
         for &h in &health[30..] {
             assert!(h > 0.8 && h <= 2.0, "health {h}");
         }
@@ -749,7 +705,7 @@ mod tests {
         // Healthy mix of small (100 us) and 2 MB (700 us) reads: both are
         // normal for their size, so health stays near 1.
         let recs = big_healthy_mix();
-        let health = device_throughput(&recs, 5_000);
+        let health = device_throughput_view(&ReadView::from(&recs), 5_000);
         for &h in &health[30..] {
             assert!(h > 0.7, "big healthy I/O depressed health to {h}");
         }
@@ -768,7 +724,7 @@ mod tests {
             };
             recs.push(rec(i * 200, lat, 4096, (300..340).contains(&i)));
         }
-        let health = device_throughput(&recs, 5_000);
+        let health = device_throughput_view(&ReadView::from(&recs), 5_000);
         let min = health[320..345].iter().cloned().fold(f64::MAX, f64::min);
         assert!(min < 0.3, "inflated latencies left health at {min}");
     }
@@ -786,7 +742,7 @@ mod tests {
             recs.push(rec(t, 100, 4096, false));
             t += 200;
         }
-        let health = device_throughput(&recs, 5_000);
+        let health = device_throughput_view(&ReadView::from(&recs), 5_000);
         let min = health[10..].iter().cloned().fold(f64::MAX, f64::min);
         assert!(
             min > 0.7,
@@ -797,7 +753,7 @@ mod tests {
     #[test]
     fn tail_zone_extends_past_seed() {
         let recs = synthetic_busy_window();
-        let labels = period_label(&recs, &test_thresholds());
+        let labels = period_label_view(&ReadView::from(&recs), &test_thresholds());
         // The latter part of the busy window must be labeled even though
         // only a few I/Os seed the zone (detection lags ~one window).
         let mid = &labels[320..340];
@@ -837,7 +793,8 @@ mod tests {
     fn scratch_tuner_is_bitwise_identical_to_reference_on_24_seeded_traces() {
         for seed in 0..24u64 {
             let recs = seeded_trace(seed);
-            let fast = tune_thresholds(&recs);
+            let view = ReadView::from(&recs);
+            let fast = tune_thresholds_view(&view);
             let slow = tune_thresholds_reference(&recs);
             assert!(
                 fast.high_lat_q.to_bits() == slow.high_lat_q.to_bits()
@@ -847,8 +804,12 @@ mod tests {
                 "seed {seed}: {fast:?} != {slow:?}"
             );
             assert_eq!(
-                period_label(&recs, &fast),
-                period_label_with(&recs, &fast, &LabelingScratch::new(&recs, fast.window_us)),
+                period_label_view(&view, &fast),
+                period_label_with_view(
+                    &view,
+                    &fast,
+                    &LabelingScratch::new_view(&view, fast.window_us)
+                ),
                 "seed {seed}: scratch labels diverge"
             );
         }
@@ -857,10 +818,11 @@ mod tests {
     #[test]
     fn shared_scratch_tuner_matches_standalone() {
         let recs = synthetic_busy_window();
-        let scratch = LabelingScratch::new(&recs, PeriodThresholds::default().window_us);
+        let view = ReadView::from(&recs);
+        let scratch = LabelingScratch::new_view(&view, PeriodThresholds::default().window_us);
         assert_eq!(
-            tune_thresholds_with(&recs, &scratch),
-            tune_thresholds(&recs)
+            tune_thresholds_with_view(&view, &scratch),
+            tune_thresholds_view(&view)
         );
         assert_eq!(scratch.window_us(), 20_000);
     }
@@ -869,17 +831,21 @@ mod tests {
     #[should_panic(expected = "different throughput window")]
     fn scratch_window_mismatch_panics() {
         let recs = synthetic_busy_window();
-        let scratch = LabelingScratch::new(&recs, 5_000);
-        period_label_with(&recs, &PeriodThresholds::default(), &scratch);
+        let view = ReadView::from(&recs);
+        let scratch = LabelingScratch::new_view(&view, 5_000);
+        period_label_with_view(&view, &PeriodThresholds::default(), &scratch);
     }
 
     #[test]
     fn tuned_thresholds_do_not_regress_default() {
         let recs = synthetic_busy_window();
-        let tuned = tune_thresholds(&recs);
-        let obj_default =
-            labeling_objective(&recs, &period_label(&recs, &PeriodThresholds::default()));
-        let obj_tuned = labeling_objective(&recs, &period_label(&recs, &tuned));
+        let view = ReadView::from(&recs);
+        let tuned = tune_thresholds_view(&view);
+        let obj_default = labeling_objective_view(
+            &view,
+            &period_label_view(&view, &PeriodThresholds::default()),
+        );
+        let obj_tuned = labeling_objective_view(&view, &period_label_view(&view, &tuned));
         assert!(obj_tuned >= obj_default);
     }
 
@@ -893,22 +859,24 @@ mod tests {
         cfg.free_pool = 1 << 30;
         let mut dev = SsdDevice::new(cfg, 8);
         let reads = reads_only(&collect(&trace, &mut dev));
-        let th = tune_thresholds(&reads);
-        let labels = period_label(&reads, &th);
+        let view = ReadView::from(&reads);
+        let th = tune_thresholds_view(&view);
+        let labels = period_label_view(&view, &th);
         let slow_frac = labels.iter().filter(|&&l| l).count() as f64 / labels.len() as f64;
         assert!(
             slow_frac > 0.0 && slow_frac < 0.5,
             "slow fraction {slow_frac}"
         );
-        let acc = labeling_accuracy(&reads, &labels);
+        let acc = labeling_accuracy_view(&view, &labels);
         assert!(acc > 0.65, "balanced accuracy vs ground truth {acc}");
     }
 
     #[test]
     fn empty_input_yields_empty_labels() {
-        assert!(period_label(&[], &PeriodThresholds::default()).is_empty());
-        assert!(cutoff_label(&[]).is_empty());
-        assert!(device_throughput(&[], 1000).is_empty());
+        let empty = ReadView::Slice(&[]);
+        assert!(period_label_view(&empty, &PeriodThresholds::default()).is_empty());
+        assert!(cutoff_label_view(&empty).is_empty());
+        assert!(device_throughput_view(&empty, 1000).is_empty());
     }
 
     #[test]
@@ -923,6 +891,9 @@ mod tests {
     fn degenerate_objective_is_min() {
         let recs = synthetic_busy_window();
         let all_fast = vec![false; recs.len()];
-        assert_eq!(labeling_objective(&recs, &all_fast), f64::MIN);
+        assert_eq!(
+            labeling_objective_view(&ReadView::from(&recs), &all_fast),
+            f64::MIN
+        );
     }
 }

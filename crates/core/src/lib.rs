@@ -22,6 +22,20 @@
 //! - [`retrain`] — accuracy-triggered retraining for long deployments (§7).
 //! - [`drift`] — proactive input-drift detection (a §7 open question).
 //!
+//! # One log type, one function per operation
+//!
+//! Every stage reads its log through a [`ReadView`] — a row slice, a
+//! columnar [`RecordBatch`], or an index projection of one — and each
+//! operation has exactly one entry point (the `*_view` functions of
+//! [`labeling`], [`filtering::filter_view`], [`stage_cache::stage_key_view`],
+//! the `build_*_view` builders of [`features`]). A row-form caller
+//! converts once with `ReadView::from(&records)`. The trainer is
+//! [`pipeline::run_view`]`(view, cfg, cache)`, which drops writes and
+//! optionally shares its labeling/filtering stage through a
+//! [`StageCache`]; [`pipeline::run`] and [`pipeline::run_batch`] are that
+//! function over a record slice and a batch. The `*_reference` functions
+//! are the seed engines the parity suites compare against.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -60,7 +74,7 @@ pub use labeling::PeriodThresholds;
 pub use model::{DeviceRuntime, OnlineAdmitter};
 pub use pipeline::{
     FeatureKind, FeatureMode, LabelArtifact, LabelingMode, ModelArch, PipelineConfig,
-    PipelineError, PipelineReport, StageArtifact, Trained,
+    PipelineError, PipelineReport, Trained,
 };
 pub use retrain::{RetrainConfig, RetrainReport};
 pub use stage_cache::StageCache;

@@ -12,7 +12,7 @@ use crate::features::{
 use crate::filtering::{filter_view, FilterConfig, FilterStats};
 use crate::labeling::{
     cutoff_label_view, labeling_accuracy_view, period_label_view, period_label_with_view,
-    tune_thresholds_view, tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
+    tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
 };
 use crate::stage_cache::{stage_key_view, StageCache};
 use heimdall_metrics::MetricReport;
@@ -20,7 +20,6 @@ use heimdall_nn::{
     BatchScratch, ColumnStats, Dataset, Mlp, MlpConfig, QuantizedMlp, Scaler, ScalerKind, TrainOpts,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -219,18 +218,7 @@ impl Trained {
                 )
             }
         };
-        let arch = match &cfg.arch {
-            ModelArch::Linnos => MlpConfig {
-                input_dim,
-                ..MlpConfig::linnos()
-            },
-            ModelArch::Heimdall => MlpConfig::heimdall(input_dim),
-            ModelArch::Custom(c) => MlpConfig {
-                input_dim,
-                ..c.clone()
-            },
-        };
-        let mlp = Mlp::new(arch, cfg.seed);
+        let mlp = Mlp::new(mlp_config(cfg, input_dim), cfg.seed);
         let quantized = quantize_if_supported(&mlp);
         Trained {
             kind,
@@ -382,39 +370,50 @@ pub struct LabelArtifact {
     pub label_accuracy_vs_truth: f64,
 }
 
-/// Output of all model-independent pipeline stages — labeling, noise
-/// filtering, feature extraction and selection.
-#[derive(Debug, Clone)]
-pub struct StageArtifact {
-    /// Feature recipe of `data`'s columns (post-selection).
-    pub kind: FeatureKind,
-    /// Unscaled, unsplit dataset in trace order.
-    pub data: Dataset,
-    /// Noise-filter statistics when filtering ran.
-    pub filter_stats: Option<FilterStats>,
-    /// Labeling agreement with simulator ground truth (evaluation only).
-    pub label_accuracy_vs_truth: f64,
-}
-
-/// Borrows the records directly when they are all reads (the common case
-/// for profiling logs routed through [`crate::collect::reads_only`]);
-/// copies only when writes must actually be filtered out.
-fn read_view(records: &[IoRecord]) -> Cow<'_, [IoRecord]> {
-    if records.iter().all(IoRecord::is_read) {
-        Cow::Borrowed(records)
-    } else {
-        Cow::Owned(records.iter().copied().filter(IoRecord::is_read).collect())
+/// Hands `f` the reads of `view`: the view itself when it holds no
+/// writes (the common case for profiling logs routed through
+/// [`crate::collect::reads_only`] — nothing is copied), else the read
+/// subset — filtered rows for a slice, an index projection for a batch.
+pub(crate) fn with_reads<R>(view: &ReadView<'_>, f: impl FnOnce(&ReadView<'_>) -> R) -> R {
+    if (0..view.len()).all(|i| view.is_read(i)) {
+        return f(view);
+    }
+    match *view {
+        ReadView::Slice(records) => {
+            let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
+            f(&ReadView::Slice(&reads))
+        }
+        ReadView::Batch(batch) => {
+            let idx = read_indices(batch);
+            f(&ReadView::Indexed { batch, idx: &idx })
+        }
+        ReadView::Indexed { batch, idx } => {
+            let idx: Vec<u32> = idx
+                .iter()
+                .copied()
+                .filter(|&i| batch.is_read(i as usize))
+                .collect();
+            f(&ReadView::Indexed { batch, idx: &idx })
+        }
     }
 }
 
-/// Runs the labeling and noise-filtering stages over pre-filtered read
-/// records — the cacheable unit shared across sweep cells.
-pub(crate) fn label_stage(reads: &[IoRecord], cfg: &PipelineConfig) -> LabelArtifact {
-    label_stage_view(&ReadView::from(reads), cfg)
+/// The label/filter artifact of a write-free view, served through the
+/// shared [`StageCache`] when one is provided. Cached and uncached callers
+/// execute the same [`label_stage_view`], so a hit changes wall-clock only.
+pub(crate) fn cached_label_stage(
+    view: &ReadView<'_>,
+    cfg: &PipelineConfig,
+    cache: Option<&StageCache>,
+) -> Arc<LabelArtifact> {
+    match cache {
+        Some(c) => c.get_or_build(stage_key_view(view, cfg), || label_stage_view(view, cfg)),
+        None => Arc::new(label_stage_view(view, cfg)),
+    }
 }
 
-/// [`label_stage`] over any [`ReadView`]: batch-native callers label
-/// straight off the columnar buffers.
+/// Runs the labeling and noise-filtering stages over a write-free view —
+/// the cacheable unit shared across sweep cells.
 pub(crate) fn label_stage_view(view: &ReadView<'_>, cfg: &PipelineConfig) -> LabelArtifact {
     // Stage: labeling. The tuned mode shares one LabelingScratch between
     // the threshold search and the final labeling pass.
@@ -452,8 +451,9 @@ pub(crate) fn label_stage_view(view: &ReadView<'_>, cfg: &PipelineConfig) -> Lab
 }
 
 /// Runs the per-cell model-independent stages — feature extraction (+
-/// joint grouping) and selection — over a label/filter artifact, with
-/// shards extracted on `jobs` threads.
+/// joint grouping) and selection — over a label/filter artifact, returning
+/// the feature recipe of the (post-selection) columns and the unscaled,
+/// unsplit dataset in trace order.
 ///
 /// For per-I/O raw specs the min-max scaler statistics over the eventual
 /// train half (`cfg.split` of the rows) come back fused out of the same
@@ -463,8 +463,7 @@ fn featurize(
     view: &ReadView<'_>,
     cfg: &PipelineConfig,
     la: &LabelArtifact,
-    jobs: usize,
-) -> Result<(StageArtifact, Option<ColumnStats>), PipelineError> {
+) -> Result<(FeatureKind, Dataset, Option<ColumnStats>), PipelineError> {
     let (labels, keep) = (&la.labels, &la.keep);
     // Stage: feature extraction (+ joint grouping).
     let mut kind;
@@ -472,12 +471,12 @@ fn featurize(
     let mut data = match (&cfg.features, cfg.joint) {
         (FeatureMode::LinnosDigitized, _) => {
             kind = FeatureKind::LinnosDigitized;
-            build_linnos_dataset_view(view, labels, keep, jobs).0
+            build_linnos_dataset_view(view, labels, keep, 1).0
         }
         (mode, 1) => {
             let spec = spec_for(mode);
             kind = FeatureKind::Spec(spec.clone());
-            let (data, _, st) = build_dataset_stats(view, labels, keep, &spec, jobs, cfg.split);
+            let (data, _, st) = build_dataset_stats(view, labels, keep, &spec, 1, cfg.split);
             stats = Some(st);
             data
         }
@@ -487,7 +486,7 @@ fn featurize(
                 hist_depth: spec.hist_depth,
                 p,
             };
-            build_joint_dataset_view(view, labels, keep, spec.hist_depth, p, jobs).0
+            build_joint_dataset_view(view, labels, keep, spec.hist_depth, p, 1).0
         }
     };
     if data.is_empty() {
@@ -513,69 +512,12 @@ fn featurize(
         }
     }
 
-    Ok((
-        StageArtifact {
-            kind,
-            data,
-            filter_stats: la.filter_stats,
-            label_accuracy_vs_truth: la.label_accuracy_vs_truth,
-        },
-        stats,
-    ))
-}
-
-/// Runs the model-independent stages (labeling → filtering → features →
-/// selection) over collected records, producing the cacheable
-/// [`StageArtifact`]. Writes are filtered here; reads drive labels and
-/// rows.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] when the input is empty or produces no rows.
-pub fn preprocess(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-) -> Result<StageArtifact, PipelineError> {
-    let reads = read_view(records);
-    let view = ReadView::from(&reads[..]);
-    if view.is_empty() {
-        return Err(PipelineError::NoRecords);
-    }
-    featurize(&view, cfg, &label_stage_view(&view, cfg), 1).map(|(artifact, _)| artifact)
-}
-
-/// [`preprocess`] straight off a columnar [`RecordBatch`]: write records
-/// are dropped by index (no `Vec<IoRecord>` materialization) and the
-/// stages run over the batch's columns.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`preprocess`] does.
-pub fn preprocess_batch(
-    batch: &RecordBatch,
-    cfg: &PipelineConfig,
-) -> Result<StageArtifact, PipelineError> {
-    let idx = read_indices(batch);
-    let view = batch_read_view(batch, &idx);
-    if view.is_empty() {
-        return Err(PipelineError::NoRecords);
-    }
-    featurize(&view, cfg, &label_stage_view(&view, cfg), 1).map(|(artifact, _)| artifact)
-}
-
-/// Read-only view over a batch: the whole batch when every record is a
-/// read (write-free profiling logs pay nothing), else the read subset by
-/// index.
-fn batch_read_view<'a>(batch: &'a RecordBatch, idx: &'a [u32]) -> ReadView<'a> {
-    if idx.len() == batch.len() {
-        ReadView::Batch(batch)
-    } else {
-        ReadView::Indexed { batch, idx }
-    }
+    Ok((kind, data, stats))
 }
 
 /// Runs the configured pipeline over collected records (reads drive labels
-/// and rows; pass the full record stream — writes are filtered here).
+/// and rows; pass the full record stream — writes are filtered in
+/// [`run_view`]).
 ///
 /// # Errors
 ///
@@ -585,24 +527,7 @@ pub fn run(
     records: &[IoRecord],
     cfg: &PipelineConfig,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_jobs(records, cfg, 1)
-}
-
-/// [`run`] with feature-extraction shards spread over `jobs` threads.
-/// Output is byte-identical to [`run`] at any job count (the sharding is
-/// deterministic and shards concatenate in order); only wall-clock
-/// changes.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_jobs(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-    jobs: usize,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    let reads = read_view(records);
-    run_view(&ReadView::from(&reads[..]), cfg, None, jobs)
+    run_view(&ReadView::from(records), cfg, None)
 }
 
 /// [`run`] straight off a columnar [`RecordBatch`] (see
@@ -616,111 +541,45 @@ pub fn run_batch(
     batch: &RecordBatch,
     cfg: &PipelineConfig,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_batch_jobs(batch, cfg, 1)
+    run_view(&ReadView::from(batch), cfg, None)
 }
 
-/// [`run_batch`] with sharded parallel feature extraction.
+/// The pipeline itself, over any [`ReadView`] of the full record stream —
+/// [`run`] and [`run_batch`] are this with a converted argument. Writes
+/// are dropped here, once, whatever the view's form.
 ///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_batch_jobs(
-    batch: &RecordBatch,
-    cfg: &PipelineConfig,
-    jobs: usize,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    let idx = read_indices(batch);
-    run_view(&batch_read_view(batch, &idx), cfg, None, jobs)
-}
-
-/// [`run`] with the labeling and filtering stages served through a shared
-/// [`StageCache`]: cells of a sweep that replay the same trace under the
-/// same labeling/filtering configuration tune, label and filter once and
-/// share the [`LabelArtifact`] — feature extraction stays per-cell, so
-/// cells differing only in feature mode or joint width still share.
-/// Results are identical to [`run`] (only the wall-clock
+/// With a [`StageCache`], the labeling and filtering stages are served
+/// through it: cells of a sweep that replay the same trace under the same
+/// labeling/filtering configuration tune, label and filter once and share
+/// the [`LabelArtifact`] — feature extraction stays per-cell, so cells
+/// differing only in feature mode or joint width still share. The cache
+/// key hashes the same byte stream for every view form of the same reads,
+/// and results are identical with or without a cache (only the wall-clock
 /// `preprocess_seconds` differs on a hit).
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_cached(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-    cache: &StageCache,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_cached_jobs(records, cfg, cache, 1)
-}
-
-/// [`run_cached`] with sharded parallel feature extraction.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_cached_jobs(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-    cache: &StageCache,
-    jobs: usize,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    let reads = read_view(records);
-    run_view(&ReadView::from(&reads[..]), cfg, Some(cache), jobs)
-}
-
-/// [`run_batch`] with the labeling/filtering stages served through a
-/// shared [`StageCache`]. The cache key hashes the identical byte stream
-/// as the record-slice path, so batch and slice cells of the same trace
-/// share one artifact.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_cached_batch(
-    batch: &RecordBatch,
-    cfg: &PipelineConfig,
-    cache: &StageCache,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_cached_batch_jobs(batch, cfg, cache, 1)
-}
-
-/// [`run_cached_batch`] with sharded parallel feature extraction.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
-pub fn run_cached_batch_jobs(
-    batch: &RecordBatch,
-    cfg: &PipelineConfig,
-    cache: &StageCache,
-    jobs: usize,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    let idx = read_indices(batch);
-    run_view(&batch_read_view(batch, &idx), cfg, Some(cache), jobs)
-}
-
-fn run_view(
+pub fn run_view(
     view: &ReadView<'_>,
     cfg: &PipelineConfig,
     cache: Option<&StageCache>,
-    jobs: usize,
+) -> Result<(Trained, PipelineReport), PipelineError> {
+    with_reads(view, |reads| run_reads(reads, cfg, cache))
+}
+
+/// [`run_view`] past the write drop: `view` holds reads only.
+fn run_reads(
+    view: &ReadView<'_>,
+    cfg: &PipelineConfig,
+    cache: Option<&StageCache>,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
     if view.is_empty() {
         return Err(PipelineError::NoRecords);
     }
     let t0 = Instant::now();
-    let la: Arc<LabelArtifact> = match cache {
-        Some(c) => c.get_or_build(stage_key_view(view, cfg), || label_stage_view(view, cfg)),
-        None => Arc::new(label_stage_view(view, cfg)),
-    };
-    let (
-        StageArtifact {
-            kind,
-            data,
-            filter_stats,
-            label_accuracy_vs_truth,
-        },
-        minmax_stats,
-    ) = featurize(view, cfg, &la, jobs)?;
+    let la = cached_label_stage(view, cfg, cache);
+    let (kind, data, minmax_stats) = featurize(view, cfg, &la)?;
 
     let slow_fraction = data.positive_rate();
 
@@ -754,18 +613,7 @@ fn run_view(
 
     // Stage: model training.
     let t1 = Instant::now();
-    let arch = match &cfg.arch {
-        ModelArch::Linnos => MlpConfig {
-            input_dim: train.dim,
-            ..MlpConfig::linnos()
-        },
-        ModelArch::Heimdall => MlpConfig::heimdall(train.dim),
-        ModelArch::Custom(c) => MlpConfig {
-            input_dim: train.dim,
-            ..c.clone()
-        },
-    };
-    let mut mlp = Mlp::new(arch, cfg.seed);
+    let mut mlp = Mlp::new(mlp_config(cfg, train.dim), cfg.seed);
     let mut opts = cfg.train.clone();
     opts.seed ^= cfg.seed;
     train.shuffle(cfg.seed ^ 0x7368_7566);
@@ -804,8 +652,8 @@ fn run_view(
         train_rows: train.rows(),
         test_rows: test.rows(),
         slow_fraction,
-        filter_stats,
-        label_accuracy_vs_truth,
+        filter_stats: la.filter_stats,
+        label_accuracy_vs_truth: la.label_accuracy_vs_truth,
         preprocess_seconds,
         train_seconds,
         input_dim,
@@ -828,23 +676,14 @@ pub fn cross_validate(
     k: usize,
 ) -> Result<Vec<MetricReport>, PipelineError> {
     assert!(k >= 2, "need at least two folds");
-    let reads = read_view(records);
-    let view = ReadView::from(&reads[..]);
-    if view.is_empty() {
-        return Err(PipelineError::NoRecords);
-    }
-    let labels = match cfg.labeling {
-        LabelingMode::Cutoff => cutoff_label_view(&view),
-        LabelingMode::Period => period_label_view(&view, &PeriodThresholds::default()),
-        LabelingMode::PeriodTuned => period_label_view(&view, &tune_thresholds_view(&view)),
-        LabelingMode::PeriodWith(th) => period_label_view(&view, &th),
-    };
-    let (keep, _) = match &cfg.filtering {
-        Some(fc) => filter_view(&view, &labels, fc),
-        None => (vec![true; view.len()], Default::default()),
-    };
     let spec = spec_for(&cfg.features);
-    let (mut data, _) = build_dataset_view(&view, &labels, &keep, &spec, 1);
+    let mut data = with_reads(&ReadView::from(records), |view| {
+        if view.is_empty() {
+            return Err(PipelineError::NoRecords);
+        }
+        let la = label_stage_view(view, cfg);
+        Ok(build_dataset_view(view, &la.labels, &la.keep, &spec, 1).0)
+    })?;
     if data.rows() < k {
         return Err(PipelineError::NoRows);
     }
@@ -861,18 +700,7 @@ pub fn cross_validate(
             scaler.transform(&mut train);
             scaler.transform(&mut val);
         }
-        let arch = match &cfg.arch {
-            ModelArch::Linnos => MlpConfig {
-                input_dim: train.dim,
-                ..MlpConfig::linnos()
-            },
-            ModelArch::Heimdall => MlpConfig::heimdall(train.dim),
-            ModelArch::Custom(c) => MlpConfig {
-                input_dim: train.dim,
-                ..c.clone()
-            },
-        };
-        let mut mlp = Mlp::new(arch, cfg.seed + fold as u64);
+        let mut mlp = Mlp::new(mlp_config(cfg, train.dim), cfg.seed + fold as u64);
         mlp.train(&train, &cfg.train);
         let scores: Vec<f32> = (0..val.rows()).map(|i| mlp.predict(val.row(i))).collect();
         reports.push(MetricReport::compute(&scores, &val.labels_bool()));
@@ -960,6 +788,21 @@ fn calibrate_threshold(scores: &[f32], labels: &[bool]) -> f32 {
             })
             .map(|s| s.2)
             .unwrap_or(0.5)
+    }
+}
+
+/// The configured architecture at the dataset's final input width.
+fn mlp_config(cfg: &PipelineConfig, input_dim: usize) -> MlpConfig {
+    match &cfg.arch {
+        ModelArch::Linnos => MlpConfig {
+            input_dim,
+            ..MlpConfig::linnos()
+        },
+        ModelArch::Heimdall => MlpConfig::heimdall(input_dim),
+        ModelArch::Custom(c) => MlpConfig {
+            input_dim,
+            ..c.clone()
+        },
     }
 }
 
@@ -1074,8 +917,13 @@ mod tests {
         let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
         let truth: Vec<bool> = reads.iter().map(|r| r.truth_busy).collect();
         let keep = vec![true; reads.len()];
-        let (data, _) =
-            crate::features::build_dataset(&reads, &truth, &keep, &FeatureSpec::heimdall());
+        let (data, _) = build_dataset_view(
+            &ReadView::from(&reads),
+            &truth,
+            &keep,
+            &FeatureSpec::heimdall(),
+            1,
+        );
         let (_, test) = data.split(0.5);
         let scores = trained.predict_dataset(&test);
         heimdall_metrics::roc_auc(&scores, &test.labels_bool())

@@ -6,12 +6,15 @@
 //! producing the Fig 17 series: per-window accuracy with and without
 //! retraining, plus the retraining trigger timestamps.
 
-use crate::collect::IoRecord;
-use crate::pipeline::{label_stage, run, run_cached, LabelingMode, PipelineConfig, Trained};
-use crate::stage_cache::{stage_key, StageCache};
+use crate::collect::{IoRecord, ReadView};
+use crate::features::{build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view};
+use crate::pipeline::{
+    cached_label_stage, run_view, with_reads, FeatureKind, LabelingMode, PipelineConfig,
+    PipelineError, Trained,
+};
+use crate::stage_cache::StageCache;
 use heimdall_metrics::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Retraining policy knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,18 +85,6 @@ fn monitor_label_cfg(cfg: &RetrainConfig) -> PipelineConfig {
     c
 }
 
-/// Trains through the shared cache when one is provided.
-fn run_opt(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-    cache: Option<&StageCache>,
-) -> Result<(Trained, crate::pipeline::PipelineReport), crate::pipeline::PipelineError> {
-    match cache {
-        Some(c) => run_cached(records, cfg, c),
-        None => run(records, cfg),
-    }
-}
-
 /// Scores a model's decisions against period-based labels over `records`
 /// (reads only); returns plain accuracy. Several evaluations monitor the
 /// same windows, so the tuned window labels go through the shared cache
@@ -104,72 +95,53 @@ fn window_accuracy(
     label_cfg: &PipelineConfig,
     cache: Option<&StageCache>,
 ) -> Option<f64> {
-    let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    if reads.len() < 64 {
-        return None;
-    }
-    let la = match cache {
-        Some(c) => c.get_or_build(stage_key(&reads, label_cfg), || {
-            label_stage(&reads, label_cfg)
-        }),
-        None => Arc::new(label_stage(&reads, label_cfg)),
-    };
-    let labels = &la.labels;
-    let keep = vec![true; reads.len()];
-    let (data, sources) = match &model.kind {
-        crate::pipeline::FeatureKind::LinnosDigitized => {
-            crate::features::build_linnos_dataset(&reads, labels, &keep)
+    with_reads(&ReadView::from(records), |reads| {
+        if reads.len() < 64 {
+            return None;
         }
-        crate::pipeline::FeatureKind::Spec(spec) => {
-            crate::features::build_dataset(&reads, labels, &keep, spec)
+        let la = cached_label_stage(reads, label_cfg, cache);
+        let labels = &la.labels;
+        let keep = vec![true; reads.len()];
+        let data = match &model.kind {
+            FeatureKind::LinnosDigitized => build_linnos_dataset_view(reads, labels, &keep, 1).0,
+            FeatureKind::Spec(spec) => build_dataset_view(reads, labels, &keep, spec, 1).0,
+            FeatureKind::Joint { hist_depth, p } => {
+                build_joint_dataset_view(reads, labels, &keep, *hist_depth, *p, 1).0
+            }
+        };
+        if data.is_empty() {
+            return None;
         }
-        crate::pipeline::FeatureKind::Joint { hist_depth, p } => {
-            let (d, groups) =
-                crate::features::build_joint_dataset(&reads, labels, &keep, *hist_depth, *p);
-            (d, groups.into_iter().map(|g| g[0]).collect())
-        }
-    };
-    let _ = sources;
-    if data.is_empty() {
-        return None;
-    }
-    let scores = model.predict_dataset(&data);
-    let cm = ConfusionMatrix::from_scores(&scores, &data.labels_bool(), 0.5);
-    Some(cm.accuracy())
+        let scores = model.predict_dataset(&data);
+        let cm = ConfusionMatrix::from_scores(&scores, &data.labels_bool(), 0.5);
+        Some(cm.accuracy())
+    })
 }
 
 /// Evaluates a model trained once on the first `initial_train_us` of the
 /// stream, with no retraining ("First N min" lines of Fig 17a).
+///
+/// Training and window labeling are served through `cache` when one is
+/// given: concurrent evaluations over the same stream (the Fig 17 panel)
+/// tune and label each training slice and each monitoring window once.
+/// Reports are identical with or without a cache.
+///
+/// # Errors
+///
+/// Propagates [`PipelineError`] from the initial training run.
 pub fn evaluate_static(
     records: &[IoRecord],
     initial_train_us: u64,
     cfg: &RetrainConfig,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
-    evaluate_static_cached(records, initial_train_us, cfg, None)
-}
-
-/// [`evaluate_static`] with training and window labeling optionally served
-/// through a shared [`StageCache`]: concurrent evaluations over the same
-/// stream (the Fig 17 panel) tune and label each training slice and each
-/// monitoring window once. Reports are identical with or without a cache.
-///
-/// # Errors
-///
-/// Propagates [`crate::pipeline::PipelineError`] exactly as
-/// [`evaluate_static`] does.
-pub fn evaluate_static_cached(
-    records: &[IoRecord],
-    initial_train_us: u64,
-    cfg: &RetrainConfig,
     cache: Option<&StageCache>,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
+) -> Result<RetrainReport, PipelineError> {
     let start = records.first().map_or(0, |r| r.arrival_us);
     let train_slice: Vec<IoRecord> = records
         .iter()
         .copied()
         .filter(|r| r.arrival_us < start + initial_train_us)
         .collect();
-    let (model, _) = run_opt(&train_slice, &cfg.pipeline, cache)?;
+    let (model, _) = run_view(&ReadView::from(&train_slice), &cfg.pipeline, cache)?;
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
     each_window(records, cfg.report_window_us, |end, window| {
@@ -183,34 +155,24 @@ pub fn evaluate_static_cached(
 /// Evaluates the accuracy-triggered retraining policy ("Retrain" line of
 /// Fig 17b). The model starts from the first check interval of data and is
 /// retrained on the trailing [`RetrainConfig::retrain_window_us`] whenever
-/// the per-interval accuracy falls below the trigger.
-pub fn evaluate_retraining(
-    records: &[IoRecord],
-    cfg: &RetrainConfig,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
-    evaluate_retraining_cached(records, cfg, None)
-}
-
-/// [`evaluate_retraining`] with training and window labeling optionally
-/// served through a shared [`StageCache`] (see
-/// [`evaluate_static_cached`]). Reports are identical either way.
+/// the per-interval accuracy falls below the trigger. `cache` is as for
+/// [`evaluate_static`].
 ///
 /// # Errors
 ///
-/// Propagates [`crate::pipeline::PipelineError`] exactly as
-/// [`evaluate_retraining`] does.
-pub fn evaluate_retraining_cached(
+/// Propagates [`PipelineError`] from the initial training run.
+pub fn evaluate_retraining(
     records: &[IoRecord],
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
+) -> Result<RetrainReport, PipelineError> {
     let start = records.first().map_or(0, |r| r.arrival_us);
     let initial: Vec<IoRecord> = records
         .iter()
         .copied()
         .filter(|r| r.arrival_us < start + cfg.check_interval_us)
         .collect();
-    let (mut model, _) = run_opt(&initial, &cfg.pipeline, cache)?;
+    let (mut model, _) = run_view(&ReadView::from(&initial), &cfg.pipeline, cache)?;
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
 
@@ -236,7 +198,7 @@ pub fn evaluate_retraining_cached(
                 .copied()
                 .filter(|r| r.arrival_us >= lo && r.arrival_us < end)
                 .collect();
-            if let Ok((m, _)) = run_opt(&slice, &cfg.pipeline, cache) {
+            if let Ok((m, _)) = run_view(&ReadView::from(&slice), &cfg.pipeline, cache) {
                 model = m;
                 report.retrain_times_us.push(end);
                 report.retrain_sizes.push(slice.len());
@@ -255,27 +217,16 @@ pub fn evaluate_retraining_cached(
 /// a [`DriftDetector`](crate::drift::DriftDetector) watches the deployed
 /// feature distribution and triggers a retrain when the window's PSI
 /// crosses the significance threshold. No labels are needed between
-/// retrains.
-pub fn evaluate_drift_retraining(
-    records: &[IoRecord],
-    cfg: &RetrainConfig,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
-    evaluate_drift_retraining_cached(records, cfg, None)
-}
-
-/// [`evaluate_drift_retraining`] with training and window labeling
-/// optionally served through a shared [`StageCache`] (see
-/// [`evaluate_static_cached`]). Reports are identical either way.
+/// retrains. `cache` is as for [`evaluate_static`].
 ///
 /// # Errors
 ///
-/// Propagates [`crate::pipeline::PipelineError`] exactly as
-/// [`evaluate_drift_retraining`] does.
-pub fn evaluate_drift_retraining_cached(
+/// Propagates [`PipelineError`] from the initial training run.
+pub fn evaluate_drift_retraining(
     records: &[IoRecord],
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
-) -> Result<RetrainReport, crate::pipeline::PipelineError> {
+) -> Result<RetrainReport, PipelineError> {
     use crate::drift::DriftDetector;
     use crate::features::FeatureSpec;
 
@@ -285,7 +236,7 @@ pub fn evaluate_drift_retraining_cached(
         .copied()
         .filter(|r| r.arrival_us < start + cfg.check_interval_us)
         .collect();
-    let (mut model, _) = run_opt(&initial, &cfg.pipeline, cache)?;
+    let (mut model, _) = run_view(&ReadView::from(&initial), &cfg.pipeline, cache)?;
     let spec = FeatureSpec::heimdall();
     let mut detector = DriftDetector::fit_from_records(&initial, &spec);
 
@@ -307,7 +258,7 @@ pub fn evaluate_drift_retraining_cached(
         let reads: Vec<IoRecord> = window.iter().copied().filter(IoRecord::is_read).collect();
         let labels = vec![false; reads.len()];
         let keep = vec![true; reads.len()];
-        let (data, _) = crate::features::build_dataset(&reads, &labels, &keep, &spec);
+        let (data, _) = build_dataset_view(&ReadView::from(&reads), &labels, &keep, &spec, 1);
         if let Some(det) = detector.as_mut() {
             for i in 0..data.rows() {
                 det.observe(data.row(i));
@@ -319,7 +270,7 @@ pub fn evaluate_drift_retraining_cached(
                     .copied()
                     .filter(|r| r.arrival_us >= lo && r.arrival_us < end)
                     .collect();
-                if let Ok((m, _)) = run_opt(&slice, &cfg.pipeline, cache) {
+                if let Ok((m, _)) = run_view(&ReadView::from(&slice), &cfg.pipeline, cache) {
                     model = m;
                     report.retrain_times_us.push(end);
                     report.retrain_sizes.push(slice.len());
@@ -394,7 +345,7 @@ mod tests {
     #[test]
     fn static_evaluation_produces_series() {
         let records = long_records(60);
-        let report = evaluate_static(&records, 10_000_000, &quick_cfg()).unwrap();
+        let report = evaluate_static(&records, 10_000_000, &quick_cfg(), None).unwrap();
         assert!(!report.accuracy_series.is_empty());
         for &(_, acc) in &report.accuracy_series {
             assert!((0.0..=1.0).contains(&acc));
@@ -404,7 +355,7 @@ mod tests {
     #[test]
     fn retraining_evaluation_runs() {
         let records = long_records(60);
-        let report = evaluate_retraining(&records, &quick_cfg()).unwrap();
+        let report = evaluate_retraining(&records, &quick_cfg(), None).unwrap();
         assert!(!report.accuracy_series.is_empty());
         assert_eq!(report.retrain_times_us.len(), report.retrain_sizes.len());
     }
@@ -413,8 +364,8 @@ mod tests {
     fn retraining_never_hurts_mean_accuracy_much() {
         let records = long_records(90);
         let cfg = quick_cfg();
-        let static_rep = evaluate_static(&records, cfg.check_interval_us, &cfg).unwrap();
-        let retrain_rep = evaluate_retraining(&records, &cfg).unwrap();
+        let static_rep = evaluate_static(&records, cfg.check_interval_us, &cfg, None).unwrap();
+        let retrain_rep = evaluate_retraining(&records, &cfg, None).unwrap();
         assert!(
             retrain_rep.mean_accuracy() >= static_rep.mean_accuracy() - 0.05,
             "retrain {} vs static {}",
@@ -426,7 +377,7 @@ mod tests {
     #[test]
     fn drift_retraining_evaluation_runs() {
         let records = long_records(60);
-        let report = evaluate_drift_retraining(&records, &quick_cfg()).unwrap();
+        let report = evaluate_drift_retraining(&records, &quick_cfg(), None).unwrap();
         assert!(!report.accuracy_series.is_empty());
         for &(_, acc) in &report.accuracy_series {
             assert!((0.0..=1.0).contains(&acc));
@@ -438,16 +389,16 @@ mod tests {
         let records = long_records(60);
         let cfg = quick_cfg();
         let cache = StageCache::new();
-        let plain = evaluate_retraining(&records, &cfg).unwrap();
-        let cached = evaluate_retraining_cached(&records, &cfg, Some(&cache)).unwrap();
+        let plain = evaluate_retraining(&records, &cfg, None).unwrap();
+        let cached = evaluate_retraining(&records, &cfg, Some(&cache)).unwrap();
         assert_eq!(plain.accuracy_series, cached.accuracy_series);
         assert_eq!(plain.retrain_times_us, cached.retrain_times_us);
         assert_eq!(plain.retrain_sizes, cached.retrain_sizes);
         assert!(cache.misses() > 0, "cache was never consulted");
 
-        let s_plain = evaluate_static(&records, 10_000_000, &cfg).unwrap();
-        let s_cached = evaluate_static_cached(&records, 10_000_000, &cfg, Some(&cache)).unwrap();
-        assert_eq!(s_plain.accuracy_series, s_cached.accuracy_series);
+        let s_plain = evaluate_static(&records, 10_000_000, &cfg, None).unwrap();
+        let s_shared = evaluate_static(&records, 10_000_000, &cfg, Some(&cache)).unwrap();
+        assert_eq!(s_plain.accuracy_series, s_shared.accuracy_series);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! byte-identical whether the cache is enabled or not, and for any worker
 //! count — the golden determinism tests hold exactly that.
 
-use crate::collect::{IoRecord, ReadView};
+use crate::collect::ReadView;
 use crate::pipeline::{LabelArtifact, PipelineConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,13 +54,10 @@ impl Fnv {
 /// width, selection, architecture, training options, split, scaling and
 /// calibration are deliberately excluded — they only affect the per-cell
 /// stages, so cells differing only in those still share one artifact.
-pub fn stage_key(reads: &[IoRecord], cfg: &PipelineConfig) -> u64 {
-    stage_key_view(&ReadView::from(reads), cfg)
-}
-
-/// [`stage_key`] over any [`ReadView`]. Hashes the identical byte stream
-/// for the same logical records, so a columnar batch and a materialized
-/// record slice of the same reads share cache entries.
+///
+/// Hashes the identical byte stream for the same logical records whatever
+/// the [`ReadView`] form, so a columnar batch and a materialized record
+/// slice of the same reads share cache entries.
 pub fn stage_key_view(view: &ReadView<'_>, cfg: &PipelineConfig) -> u64 {
     let mut h = Fnv::new();
     let n = view.len();
@@ -104,33 +101,20 @@ impl StageCache {
     /// The builder runs *outside* the lock, so concurrent cells computing
     /// different traces never serialize on each other; two cells racing on
     /// the same key may both build, in which case the first insert wins
-    /// (both values are identical by construction). A failed build caches
-    /// nothing: the same cell configuration fails identically on retry.
-    pub fn get_or_try_build<E>(
-        &self,
-        key: u64,
-        build: impl FnOnce() -> Result<LabelArtifact, E>,
-    ) -> Result<Arc<LabelArtifact>, E> {
-        if let Some(found) = self.map.lock().expect("stage cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(found));
-        }
-        let built = Arc::new(build()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock().expect("stage cache poisoned");
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
-    }
-
-    /// [`StageCache::get_or_try_build`] for infallible builders.
+    /// (both values are identical by construction).
     pub fn get_or_build(
         &self,
         key: u64,
         build: impl FnOnce() -> LabelArtifact,
     ) -> Arc<LabelArtifact> {
-        match self.get_or_try_build::<std::convert::Infallible>(key, || Ok(build())) {
-            Ok(a) => a,
-            Err(e) => match e {},
+        if let Some(found) = self.map.lock().expect("stage cache poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(found);
         }
+        let built = Arc::new(build());
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut map = self.map.lock().expect("stage cache poisoned");
+        Arc::clone(map.entry(key).or_insert(built))
     }
 
     /// Lookups served from the cache.
@@ -157,6 +141,7 @@ impl StageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect::IoRecord;
     use crate::pipeline::{FeatureMode, LabelingMode};
     use heimdall_trace::IoOp;
 
@@ -188,16 +173,17 @@ mod tests {
         let a = vec![record(0, 100), record(10, 120)];
         let mut b = a.clone();
         b[1].latency_us += 1;
-        assert_ne!(stage_key(&a, &cfg), stage_key(&b, &cfg));
+        let (a, b) = (ReadView::from(&a), ReadView::from(&b));
+        assert_ne!(stage_key_view(&a, &cfg), stage_key_view(&b, &cfg));
         let mut cutoff = cfg.clone();
         cutoff.labeling = LabelingMode::Cutoff;
-        assert_ne!(stage_key(&a, &cfg), stage_key(&a, &cutoff));
+        assert_ne!(stage_key_view(&a, &cfg), stage_key_view(&a, &cutoff));
         let mut unfiltered = cfg.clone();
         unfiltered.filtering = None;
-        assert_ne!(stage_key(&a, &cfg), stage_key(&a, &unfiltered));
+        assert_ne!(stage_key_view(&a, &cfg), stage_key_view(&a, &unfiltered));
         assert_eq!(
-            stage_key(&a, &cfg),
-            stage_key(&a, &PipelineConfig::heimdall())
+            stage_key_view(&a, &cfg),
+            stage_key_view(&a, &PipelineConfig::heimdall())
         );
     }
 
@@ -212,30 +198,19 @@ mod tests {
         cell.joint = 5;
         cell.features = FeatureMode::Full(2);
         cell.select_min_corr = Some(0.1);
-        assert_eq!(stage_key(&recs, &cfg), stage_key(&recs, &cell));
+        let view = ReadView::from(&recs);
+        assert_eq!(stage_key_view(&view, &cfg), stage_key_view(&view, &cell));
     }
 
     #[test]
     fn hit_returns_same_artifact() {
         let cache = StageCache::new();
-        let first = cache.get_or_try_build::<()>(7, || Ok(artifact(3))).unwrap();
-        let second = cache
-            .get_or_try_build::<()>(7, || panic!("must not rebuild"))
-            .unwrap();
+        let first = cache.get_or_build(7, || artifact(3));
+        let second = cache.get_or_build(7, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn failed_build_caches_nothing() {
-        let cache = StageCache::new();
-        let r: Result<_, &str> = cache.get_or_try_build(9, || Err("nope"));
-        assert!(r.is_err());
-        assert!(cache.is_empty());
-        let ok = cache.get_or_try_build::<&str>(9, || Ok(artifact(1)));
-        assert!(ok.is_ok());
     }
 
     #[test]

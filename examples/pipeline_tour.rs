@@ -6,10 +6,12 @@
 //! cargo run --release -p heimdall-examples --bin pipeline_tour
 //! ```
 
-use heimdall_core::collect::{collect, reads_only};
-use heimdall_core::features::{build_dataset, feature_correlations, FeatureSpec};
-use heimdall_core::filtering::{filter, FilterConfig};
-use heimdall_core::labeling::{cutoff_label, labeling_accuracy, period_label, tune_thresholds};
+use heimdall_core::collect::{collect, reads_only, ReadView};
+use heimdall_core::features::{build_dataset_view, feature_correlations, FeatureSpec};
+use heimdall_core::filtering::{filter_view, FilterConfig};
+use heimdall_core::labeling::{
+    cutoff_label_view, labeling_accuracy_view, period_label_view, tune_thresholds_view,
+};
 use heimdall_metrics::MetricReport;
 use heimdall_nn::{Mlp, MlpConfig, QuantizedMlp, Scaler, ScalerKind, TrainOpts};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -25,10 +27,13 @@ fn main() {
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 10);
     let reads = reads_only(&collect(&trace, &mut device));
     println!("[DC] collected {} read records", reads.len());
+    // Every stage reads the log through a `ReadView`; a row-form log
+    // converts once, here.
+    let view = ReadView::from(&reads);
 
     // --- Stage LA: accurate (period-based) labeling with tuned thresholds.
-    let thresholds = tune_thresholds(&reads);
-    let labels = period_label(&reads, &thresholds);
+    let thresholds = tune_thresholds_view(&view);
+    let labels = period_label_view(&view, &thresholds);
     let slow = labels.iter().filter(|&&l| l).count();
     println!(
         "[LA] tuned thresholds {thresholds:?}; {} slow labels ({:.2}%)",
@@ -37,12 +42,12 @@ fn main() {
     );
     println!(
         "[LA] vs simulator ground truth: period {:.3}, cutoff {:.3} (balanced accuracy)",
-        labeling_accuracy(&reads, &labels),
-        labeling_accuracy(&reads, &cutoff_label(&reads)),
+        labeling_accuracy_view(&view, &labels),
+        labeling_accuracy_view(&view, &cutoff_label_view(&view)),
     );
 
     // --- Stage LN: 3-stage noise filtering.
-    let (keep, stats) = filter(&reads, &labels, &FilterConfig::default());
+    let (keep, stats) = filter_view(&view, &labels, &FilterConfig::default());
     println!(
         "[LN] removed {} rows (slow-period outliers {}, fast-period outliers {}, short bursts {} at threshold {})",
         stats.total(),
@@ -54,7 +59,7 @@ fn main() {
 
     // --- Stage FE/FS: feature engineering.
     let spec = FeatureSpec::heimdall();
-    let (data, _) = build_dataset(&reads, &labels, &keep, &spec);
+    let (data, _) = build_dataset_view(&view, &labels, &keep, &spec, 1);
     println!("[FE] {} feature rows x {} columns", data.rows(), data.dim);
     println!("[FS] top features by label correlation:");
     for (f, c) in feature_correlations(&data, &spec).into_iter().take(4) {

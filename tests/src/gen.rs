@@ -8,9 +8,9 @@ use heimdall_bench::light_heavy_pair;
 use heimdall_bench::sweep::replay_json;
 use heimdall_bench::table::{fmt_us, row_string};
 use heimdall_cluster::replayer::{merge_homed, replay_homed, HomedRequest};
-use heimdall_cluster::train::{fresh_devices_with_plans, train_homed_cached};
+use heimdall_cluster::train::{fresh_devices_with_plans, train_homed};
 use heimdall_cluster::ReplayResult;
-use heimdall_core::collect::IoRecord;
+use heimdall_core::collect::{IoRecord, ReadView, RecordBatch};
 use heimdall_core::pipeline::{PipelineConfig, Trained};
 use heimdall_nn::Dataset;
 use heimdall_policies::Policy;
@@ -18,6 +18,51 @@ use heimdall_ssd::{DeviceConfig, FaultPlan, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, Trace, WorkloadProfile, PAGE_SIZE};
+
+/// Owned storage behind the three [`ReadView`] forms of one record log —
+/// the form-independence checks run a stage over each and compare.
+pub struct ViewForms {
+    batch: RecordBatch,
+    padded: RecordBatch,
+    idx: Vec<u32>,
+}
+
+impl ViewForms {
+    /// Transposes `recs` into a batch, and into a second batch interleaved
+    /// with decoy records that only an index projection selects back out.
+    pub fn of(recs: &[IoRecord]) -> ViewForms {
+        let mut padded = RecordBatch::with_capacity(2 * recs.len());
+        for &r in recs {
+            padded.push(IoRecord {
+                latency_us: r.latency_us / 2 + 7,
+                queue_len: r.queue_len ^ 1,
+                ..r
+            });
+            padded.push(r);
+        }
+        ViewForms {
+            batch: RecordBatch::from_records(recs),
+            padded,
+            idx: (0..recs.len() as u32).map(|i| 2 * i + 1).collect(),
+        }
+    }
+
+    /// The row slice, the whole batch, and the index projection of `recs`
+    /// (the log this was built from), each with a name for messages.
+    pub fn views<'a>(&'a self, recs: &'a [IoRecord]) -> [(&'static str, ReadView<'a>); 3] {
+        [
+            ("slice", ReadView::Slice(recs)),
+            ("batch", ReadView::Batch(&self.batch)),
+            (
+                "indexed",
+                ReadView::Indexed {
+                    batch: &self.padded,
+                    idx: &self.idx,
+                },
+            ),
+        ]
+    }
+}
 
 /// A contended Tencent-like trace — the end-to-end suites' workhorse.
 pub fn contention_trace(seed: u64, secs: u64) -> Trace {
@@ -109,7 +154,7 @@ pub fn light_heavy_experiment(
     ];
     let mut pcfg = PipelineConfig::heimdall();
     pcfg.seed = seed;
-    let models = train_homed_cached(&requests, &cfgs, &pcfg, seed, None).unwrap();
+    let models = train_homed(&requests, &cfgs, &pcfg, seed, None).unwrap();
     (requests, cfgs, models)
 }
 

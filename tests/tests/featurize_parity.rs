@@ -7,16 +7,24 @@
 //! and labels compare by `f32::to_bits`, trained models by their flat
 //! parameter streams.
 //!
+//! Every stage takes a [`ReadView`], so the second contract here is form
+//! independence: the row slice, the whole batch and an indexed batch
+//! projection of the same logical log must give identical results.
+//!
 //! Covered seams:
 //!   - all three builders (heimdall spec, LinnOS digitized, joint groups)
 //!     against their references on a real collected trace;
-//!   - sharded fills at ragged job counts against the single-shard build;
-//!   - the batch-native pipeline (`run_batch`, columnar end to end) against
-//!     the row-slice pipeline, and `run_jobs` against `run`;
-//!   - `stage_key_view` over batch and indexed views against the slice key
-//!     (the stage-cache contract: same logical log, same cache cell);
-//!   - index-view labeling over `read_indices` against the `reads_only`
-//!     slice path.
+//!   - sharded fills at ragged job counts against the single-shard build,
+//!     for all three builders over all three view forms;
+//!   - the batch pipeline (`run_batch`, columnar end to end) against the
+//!     row-slice pipeline (`run`);
+//!   - `run_view` through a `StageCache` over the slice and batch forms of
+//!     a log with writes, against `run`/`run_batch`, second call a hit;
+//!   - `stage_key_view` across the three forms (the stage-cache contract:
+//!     same logical log, same cache cell);
+//!   - tuned thresholds, labels and the noise-filter keep mask over the
+//!     indexed `read_indices` view and the batch view against the
+//!     `reads_only` slice.
 
 use heimdall_core::collect::{collect, read_indices, reads_only, ReadView, RecordBatch};
 use heimdall_core::features::{
@@ -24,12 +32,12 @@ use heimdall_core::features::{
     build_joint_dataset_view, build_linnos_dataset_reference, build_linnos_dataset_view,
     FeatureSpec,
 };
-use heimdall_core::labeling::{
-    period_label, period_label_view, tune_thresholds, tune_thresholds_view,
-};
-use heimdall_core::pipeline::{run, run_batch, run_jobs, PipelineConfig, PipelineReport, Trained};
-use heimdall_core::stage_cache::{stage_key, stage_key_view};
-use heimdall_core::IoRecord;
+use heimdall_core::filtering::{filter_view, FilterConfig};
+use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
+use heimdall_core::pipeline::{run, run_batch, run_view, PipelineConfig, PipelineReport, Trained};
+use heimdall_core::stage_cache::stage_key_view;
+use heimdall_core::{IoRecord, StageCache};
+use heimdall_integration::gen::ViewForms;
 use heimdall_nn::Dataset;
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
@@ -60,8 +68,9 @@ fn assert_dataset_eq(got: &Dataset, want: &Dataset, what: &str) {
 fn labeled_reads(seed: u64) -> (Vec<IoRecord>, Vec<bool>, Vec<bool>) {
     let records = collected(WorkloadProfile::AlibabaLike, seed, 6);
     let reads = reads_only(&records);
-    let th = tune_thresholds(&reads);
-    let labels = period_label(&reads, &th);
+    let view = ReadView::from(&reads);
+    let th = tune_thresholds_view(&view);
+    let labels = period_label_view(&view, &th);
     // A keep mask with holes, like the filtering stage produces.
     let keep: Vec<bool> = (0..reads.len()).map(|i| i % 13 != 5).collect();
     (reads, labels, keep)
@@ -70,7 +79,7 @@ fn labeled_reads(seed: u64) -> (Vec<IoRecord>, Vec<bool>, Vec<bool>) {
 #[test]
 fn columnar_builders_match_references_on_collected_trace() {
     let (reads, labels, keep) = labeled_reads(71);
-    let view = ReadView::from(reads.as_slice());
+    let view = ReadView::from(&reads);
 
     for spec in [
         FeatureSpec::heimdall(),
@@ -97,25 +106,29 @@ fn columnar_builders_match_references_on_collected_trace() {
 #[test]
 fn sharded_builds_are_byte_identical_at_ragged_job_counts() {
     let (reads, labels, keep) = labeled_reads(72);
-    let view = ReadView::from(reads.as_slice());
+    let slice = ReadView::from(&reads);
     let spec = FeatureSpec::heimdall();
-    let (serial, serial_src) = build_dataset_view(&view, &labels, &keep, &spec, 1);
+    let (serial, serial_src) = build_dataset_view(&slice, &labels, &keep, &spec, 1);
+    let (lin1, _) = build_linnos_dataset_view(&slice, &labels, &keep, 1);
+    let (joint1, _) = build_joint_dataset_view(&slice, &labels, &keep, 3, 5, 1);
     // More jobs than cores, jobs that don't divide the row count, and a
-    // job count larger than some shards can hold rows for.
+    // job count larger than some shards can hold rows for — over every
+    // view form, against the single-shard slice build.
     let mut saw_ragged = false;
-    for jobs in [2usize, 3, 5, 7, 16, 64] {
-        saw_ragged |= serial.rows() % jobs != 0;
-        let (sharded, sharded_src) = build_dataset_view(&view, &labels, &keep, &spec, jobs);
-        assert_eq!(sharded_src, serial_src, "sources diverged at jobs={jobs}");
-        assert_dataset_eq(&sharded, &serial, &format!("jobs={jobs}"));
+    for (form, view) in ViewForms::of(&reads).views(&reads) {
+        for jobs in [1usize, 2, 3, 5, 7, 16, 64] {
+            saw_ragged |= serial.rows() % jobs != 0;
+            let what = format!("{form} jobs={jobs}");
+            let (sharded, sharded_src) = build_dataset_view(&view, &labels, &keep, &spec, jobs);
+            assert_eq!(sharded_src, serial_src, "sources diverged at {what}");
+            assert_dataset_eq(&sharded, &serial, &what);
 
-        let (lin, _) = build_linnos_dataset_view(&view, &labels, &keep, jobs);
-        let (lin1, _) = build_linnos_dataset_view(&view, &labels, &keep, 1);
-        assert_dataset_eq(&lin, &lin1, &format!("linnos jobs={jobs}"));
+            let (lin, _) = build_linnos_dataset_view(&view, &labels, &keep, jobs);
+            assert_dataset_eq(&lin, &lin1, &format!("linnos {what}"));
 
-        let (joint, _) = build_joint_dataset_view(&view, &labels, &keep, 3, 5, jobs);
-        let (joint1, _) = build_joint_dataset_view(&view, &labels, &keep, 3, 5, 1);
-        assert_dataset_eq(&joint, &joint1, &format!("joint jobs={jobs}"));
+            let (joint, _) = build_joint_dataset_view(&view, &labels, &keep, 3, 5, jobs);
+            assert_dataset_eq(&joint, &joint1, &format!("joint {what}"));
+        }
     }
     assert!(
         saw_ragged,
@@ -148,10 +161,30 @@ fn assert_trained_eq(
         wm.predict_raw(&probe).to_bits(),
         "{what}: probe prediction diverged"
     );
+    assert_eq!(gm.kind, wm.kind, "{what}: feature recipe");
+    // `Scaler` has no `PartialEq`; its Debug rendering prints every float
+    // shortest-round-trip, so equal renderings mean equal parameters.
+    assert_eq!(
+        format!("{:?}", gm.scaler),
+        format!("{:?}", wm.scaler),
+        "{what}: scaler"
+    );
+    // Every report field but the two wall-clock ones.
     assert_eq!(gr.metrics, wr.metrics, "{what}: metrics diverged");
     assert_eq!(gr.train_rows, wr.train_rows, "{what}: train rows");
     assert_eq!(gr.test_rows, wr.test_rows, "{what}: test rows");
     assert_eq!(gr.input_dim, wr.input_dim, "{what}: input dim");
+    assert_eq!(
+        gr.slow_fraction.to_bits(),
+        wr.slow_fraction.to_bits(),
+        "{what}: slow fraction"
+    );
+    assert_eq!(gr.filter_stats, wr.filter_stats, "{what}: filter stats");
+    assert_eq!(
+        gr.label_accuracy_vs_truth.to_bits(),
+        wr.label_accuracy_vs_truth.to_bits(),
+        "{what}: label accuracy"
+    );
 }
 
 #[test]
@@ -170,9 +203,37 @@ fn batch_pipeline_matches_slice_pipeline_end_to_end() {
         let want = run(&records, &cfg).expect("slice pipeline trains");
         let got = run_batch(&batch, &cfg).expect("batch pipeline trains");
         assert_trained_eq(&got, &want, name);
-        let jobs4 = run_jobs(&records, &cfg, 4).expect("sharded pipeline trains");
-        assert_trained_eq(&jobs4, &want, &format!("{name} jobs=4"));
     }
+}
+
+#[test]
+fn cached_run_view_matches_run_and_run_batch_on_a_log_with_writes() {
+    let records = collected(WorkloadProfile::TencentLike, 76, 6);
+    assert!(
+        records.iter().any(|r| !r.is_read()),
+        "the log must contain writes for run_view to drop"
+    );
+    let batch = RecordBatch::from_records(&records);
+    let cfg = PipelineConfig::heimdall();
+    let want = run(&records, &cfg).expect("slice pipeline trains");
+    let want_batch = run_batch(&batch, &cfg).expect("batch pipeline trains");
+    assert_trained_eq(&want_batch, &want, "run_batch vs run");
+
+    let cache = StageCache::new();
+    let via_slice = run_view(&ReadView::from(&records), &cfg, Some(&cache)).expect("trains");
+    assert_eq!((cache.hits(), cache.misses()), (0, 1), "first call builds");
+    assert_trained_eq(&via_slice, &want, "cached slice view");
+    // The batch form drops its writes by index, yet hashes to the same
+    // stage key as the filtered slice: the second call must be a hit.
+    let via_batch = run_view(&ReadView::from(&batch), &cfg, Some(&cache)).expect("trains");
+    assert_eq!((cache.hits(), cache.misses()), (1, 1), "second call hits");
+    assert_trained_eq(&via_batch, &want, "cached batch view");
+    // An index projection that still selects writes composes with the drop.
+    let forms = ViewForms::of(&records);
+    let [.., (_, indexed)] = forms.views(&records);
+    let via_index = run_view(&indexed, &cfg, Some(&cache)).expect("trains");
+    assert_eq!((cache.hits(), cache.misses()), (2, 1), "third call hits");
+    assert_trained_eq(&via_index, &want, "cached indexed view");
 }
 
 #[test]
@@ -186,7 +247,7 @@ fn stage_key_is_identical_across_view_forms() {
         PipelineConfig::heimdall(),
         PipelineConfig::linnos_baseline(),
     ] {
-        let want = stage_key(&reads, &cfg);
+        let want = stage_key_view(&ReadView::from(&reads), &cfg);
         let via_batch = stage_key_view(&ReadView::Batch(&read_batch), &cfg);
         let via_index = stage_key_view(
             &ReadView::Indexed {
@@ -201,7 +262,7 @@ fn stage_key_is_identical_across_view_forms() {
     // Different logical logs must not collide just because views differ.
     assert_ne!(
         stage_key_view(&ReadView::Batch(&batch), &PipelineConfig::heimdall()),
-        stage_key(&reads, &PipelineConfig::heimdall()),
+        stage_key_view(&ReadView::from(&reads), &PipelineConfig::heimdall()),
         "full log and reads-only log share a key"
     );
 }
@@ -215,17 +276,28 @@ fn indexed_view_labeling_matches_reads_only_slice() {
     let batch = RecordBatch::from_records(&records);
     let idx = read_indices(&batch);
     assert_eq!(idx.len(), reads.len());
-    let view = ReadView::Indexed {
-        batch: &batch,
-        idx: &idx,
-    };
+    let read_batch = RecordBatch::from_records(&reads);
+    let slice = ReadView::from(&reads);
 
-    let want_th = tune_thresholds(&reads);
-    let got_th = tune_thresholds_view(&view);
-    assert_eq!(got_th, want_th, "tuned thresholds diverged");
-    assert_eq!(
-        period_label_view(&view, &got_th),
-        period_label(&reads, &want_th),
-        "period labels diverged"
-    );
+    let want_th = tune_thresholds_view(&slice);
+    let want_labels = period_label_view(&slice, &want_th);
+    let (want_keep, want_stats) = filter_view(&slice, &want_labels, &FilterConfig::default());
+    for (form, view) in [
+        (
+            "indexed",
+            ReadView::Indexed {
+                batch: &batch,
+                idx: &idx,
+            },
+        ),
+        ("batch", ReadView::Batch(&read_batch)),
+    ] {
+        let got_th = tune_thresholds_view(&view);
+        assert_eq!(got_th, want_th, "{form}: tuned thresholds diverged");
+        let got_labels = period_label_view(&view, &got_th);
+        assert_eq!(got_labels, want_labels, "{form}: period labels diverged");
+        let (got_keep, got_stats) = filter_view(&view, &got_labels, &FilterConfig::default());
+        assert_eq!(got_keep, want_keep, "{form}: keep mask diverged");
+        assert_eq!(got_stats, want_stats, "{form}: filter stats diverged");
+    }
 }

@@ -17,8 +17,9 @@
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
 use heimdall_cluster::EventQueue;
+use heimdall_core::{ReadView, RecordBatch};
 use heimdall_integration::diff::{random_model, random_stream};
-use heimdall_integration::gen::random_trace;
+use heimdall_integration::gen::{random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
 use heimdall_metrics::{roc_auc, LatencyRecorder};
 use heimdall_models::automl::Family;
@@ -385,13 +386,16 @@ fn prop_threshold_tuner_matches_reference() {
         |&seed| {
             let records =
                 heimdall_integration::gen::random_records(&mut Rng64::new(seed ^ 0x74756e65));
-            let fast = heimdall_core::labeling::tune_thresholds(&records);
             let reference = heimdall_core::labeling::tune_thresholds_reference(&records);
-            if fast != reference {
-                return Err(format!(
-                    "tuner diverged on {} records: {fast:?} vs {reference:?}",
-                    records.len()
-                ));
+            let batch = RecordBatch::from_records(&records);
+            for view in [ReadView::from(&records), ReadView::from(&batch)] {
+                let fast = heimdall_core::labeling::tune_thresholds_view(&view);
+                if fast != reference {
+                    return Err(format!(
+                        "tuner diverged on {} records: {fast:?} vs {reference:?}",
+                        records.len()
+                    ));
+                }
             }
             Ok(())
         },
@@ -855,11 +859,13 @@ fn adversarial_log(seed: u64) -> (Vec<heimdall_core::IoRecord>, Vec<bool>, Vec<b
 /// Property 14: The compiled column-streaming dataset builder is bitwise-identical
 /// to the retained `row_into` reference over adversarial logs, random
 /// feature layouts (duplicate columns, history offsets at and beyond the
-/// depth), random depths, and any shard count.
+/// depth), random depths, any shard count, and every [`ReadView`] form
+/// (slice, batch, and an index projection out of a batch interleaved with
+/// decoy records).
 #[test]
 fn prop_columnar_featurization_matches_row_reference() {
     use heimdall_core::features::{
-        build_dataset_jobs, build_dataset_reference, Feature, FeatureSpec,
+        build_dataset_reference, build_dataset_view, Feature, FeatureSpec,
     };
     let strat = tuple3(
         u64_in(0..=u64::MAX),
@@ -889,29 +895,31 @@ fn prop_columnar_featurization_matches_row_reference() {
                 hist_depth: *depth,
             };
             let (want, want_src) = build_dataset_reference(&recs, &labels, &keep, &spec);
-            let (got, got_src) = build_dataset_jobs(&recs, &labels, &keep, &spec, *jobs);
-            if got_src != want_src {
-                return Err(format!(
-                    "sources diverged: {} vs {} rows (depth {depth}, jobs {jobs})",
-                    got_src.len(),
-                    want_src.len()
-                ));
-            }
             let to_bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-            if to_bits(&got.y) != to_bits(&want.y) {
-                return Err("labels diverged".into());
-            }
-            if to_bits(&got.x) != to_bits(&want.x) {
-                let cell = got
-                    .x
-                    .iter()
-                    .zip(&want.x)
-                    .position(|(a, b)| a.to_bits() != b.to_bits());
-                return Err(format!(
-                    "features diverged at flat cell {cell:?} of {} (dim {}, depth {depth}, jobs {jobs})",
-                    want.x.len(),
-                    want.dim
-                ));
+            for (form, view) in ViewForms::of(&recs).views(&recs) {
+                let (got, got_src) = build_dataset_view(&view, &labels, &keep, &spec, *jobs);
+                if got_src != want_src {
+                    return Err(format!(
+                        "{form}: sources diverged: {} vs {} rows (depth {depth}, jobs {jobs})",
+                        got_src.len(),
+                        want_src.len()
+                    ));
+                }
+                if to_bits(&got.y) != to_bits(&want.y) {
+                    return Err(format!("{form}: labels diverged"));
+                }
+                if to_bits(&got.x) != to_bits(&want.x) {
+                    let cell = got
+                        .x
+                        .iter()
+                        .zip(&want.x)
+                        .position(|(a, b)| a.to_bits() != b.to_bits());
+                    return Err(format!(
+                        "{form}: features diverged at flat cell {cell:?} of {} (dim {}, depth {depth}, jobs {jobs})",
+                        want.x.len(),
+                        want.dim
+                    ));
+                }
             }
             Ok(())
         },

@@ -5,7 +5,8 @@
 //! in-tree deterministic generator — same coverage philosophy, fully
 //! reproducible, no shrinking.
 
-use heimdall_core::labeling::{device_throughput, period_label, PeriodThresholds};
+use heimdall_core::labeling::{device_throughput_view, period_label_view, PeriodThresholds};
+use heimdall_core::ReadView;
 use heimdall_integration::gen::{random_records, random_scored, random_trace};
 use heimdall_metrics::{pr_auc, roc_auc, ConfusionMatrix, LatencyRecorder};
 use heimdall_nn::{digitize, Mlp, MlpConfig, QuantizedMlp};
@@ -156,10 +157,11 @@ fn period_labels_and_health_are_well_formed() {
     let mut rng = Rng64::new(0x9009);
     for case in 0..CASES {
         let records = random_records(&mut rng);
+        let view = ReadView::from(&records);
         let th = PeriodThresholds::default();
-        let labels = period_label(&records, &th);
+        let labels = period_label_view(&view, &th);
         assert_eq!(labels.len(), records.len(), "case {case}");
-        let health = device_throughput(&records, th.window_us);
+        let health = device_throughput_view(&view, th.window_us);
         assert_eq!(health.len(), records.len(), "case {case}");
         for &h in &health {
             assert!(
