@@ -1,9 +1,9 @@
 //! Micro-benchmarks for the deployment inference paths (§4.1): f32 forward
 //! pass, quantized integer pass, sign-only decision, the joint-inference
-//! widths, and the batched group kernel against P scalar passes. The paper's
+//! widths, and the decision kernel at group widths 1 and 8. The paper's
 //! headline is sub-microsecond quantized inference (0.05-0.12 µs depending
-//! on CPU); the batch lanes record their scalar-vs-batch throughput into
-//! `results/inference.run.json`.
+//! on CPU); the kernel lanes record absolute ns/decision and the fast-path
+//! hit rate into `results/inference.run.json`.
 
 use heimdall_bench::report::{Json, RunReport};
 use heimdall_bench::timing::Group;
@@ -42,37 +42,37 @@ fn bench_joint_widths() {
     }
 }
 
-/// Scores P feature rows the scalar way (P independent weight sweeps) and
-/// through the batched kernel (one sweep), for the group widths of §4.2.
-/// The per-I/O cost ratio is the batching win; the decisions are bitwise
-/// identical, so the comparison is pure throughput.
-fn bench_batch_vs_scalar(report: &mut RunReport) {
+/// Absolute cost of the one decision kernel at P = 1 (the shape of
+/// `OnlineAdmitter::decide`) and P = 8 (`decide_members`), with the share of
+/// rows the i32 fast path answered. Every entry point is the same row
+/// kernel, so there is no second side to take a ratio against.
+fn bench_kernel(report: &mut RunReport) {
     let quant = QuantizedMlp::quantize_paper(&Mlp::new(MlpConfig::heimdall(11), 7));
-    let g = Group::new("batch_vs_scalar");
-    for p in [2usize, 4, 8, 16] {
+    let g = Group::new("kernel");
+    for p in [1usize, 8] {
         let rows: Vec<f32> = (0..p * 11).map(|i| (i % 13) as f32 * 0.07).collect();
-        let scalar_ns = g.bench(&format!("scalar/{p}"), || {
-            let rows = black_box(&rows);
-            let mut slow = 0u32;
-            for r in rows.chunks_exact(11) {
-                slow += quant.predict_slow(r) as u32;
-            }
-            slow
-        });
         let mut scratch = BatchScratch::new();
         let mut out: Vec<bool> = Vec::with_capacity(p);
-        let batch_ns = g.bench(&format!("batch/{p}"), || {
+        let group_ns = g.bench(&format!("decisions/{p}"), || {
             out.clear();
             quant.predict_slow_batch_into(black_box(&rows), &mut scratch, &mut out);
             out.iter().filter(|&&d| d).count()
         });
-        let speedup = scalar_ns / batch_ns;
-        println!("  batch_vs_scalar/speedup/{p}          {speedup:>10.2}x");
+        let hits = rows
+            .chunks_exact(11)
+            .filter(|r| quant.logit_narrow(r).is_some())
+            .count();
+        let hit_rate = hits as f64 / p as f64;
+        println!(
+            "  kernel/ns_per_decision/{p}           {:>10.1} ns  (fast path {:.0}%)",
+            group_ns / p as f64,
+            100.0 * hit_rate
+        );
         report.push(Json::obj([
             ("group_width", Json::from(p)),
-            ("scalar_ns_per_group", Json::from(scalar_ns)),
-            ("batch_ns_per_group", Json::from(batch_ns)),
-            ("speedup", Json::from(speedup)),
+            ("ns_per_group", Json::from(group_ns)),
+            ("ns_per_decision", Json::from(group_ns / p as f64)),
+            ("fast_path_hit_rate", Json::from(hit_rate)),
         ]));
     }
 }
@@ -84,7 +84,7 @@ fn main() {
     let mut report = RunReport::new("inference", 1);
     report.set("model", Json::from("heimdall-11"));
     report.set("quantization_scale", Json::from(1024u64));
-    bench_batch_vs_scalar(&mut report);
+    bench_kernel(&mut report);
     match report.write() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),

@@ -108,8 +108,8 @@ impl DeviceRuntime {
 pub struct OnlineAdmitter {
     model: Trained,
     runtime: DeviceRuntime,
-    /// Batch-inference arena reused across [`OnlineAdmitter::decide_members`]
-    /// calls so the per-group hot path stays allocation-free.
+    /// Decision-kernel arena reused across calls so the hot path stays
+    /// allocation-free.
     scratch: BatchScratch,
     batch_rows: Vec<f32>,
     /// Padded-size scratch for per-I/O use of joint models.
@@ -162,10 +162,9 @@ impl OnlineAdmitter {
     /// Decision for one request: `true` = decline (predicted slow).
     ///
     /// Admits unconditionally until the runtime has warmed up. Scores the
-    /// single row through the batched quantized engine (P = 1), which is
-    /// bitwise identical to the scalar path and keeps the hot loop free of
-    /// per-decision allocation — the feature row, activation planes, and
-    /// verdict all live in reused scratch.
+    /// single row through the decision kernel as a batch of one; the hot
+    /// loop is free of per-decision allocation — the feature row, the
+    /// kernel's activations, and the verdict all live in reused scratch.
     pub fn decide(&mut self, queue_len: u32, size: u32) -> bool {
         if !self.runtime.warmed_up() {
             return false;
@@ -222,8 +221,8 @@ impl OnlineAdmitter {
     /// snapshot, appended to `out` (`true` = decline).
     ///
     /// For per-I/O ([`FeatureKind::Spec`]) models this stacks one feature
-    /// row per member and scores them all in a single sweep of the batched
-    /// quantized engine — each decision is bitwise identical to calling
+    /// row per member and scores them in one call into the decision kernel
+    /// — each decision is bitwise identical to calling
     /// [`OnlineAdmitter::decide`] per member. For queue-only LinnOS models
     /// (size-independent) one decision is computed and broadcast; for joint
     /// models the group-level [`OnlineAdmitter::decide_group`] verdict is

@@ -233,14 +233,9 @@ impl Trained {
     /// Probability of "slow" for one raw (unscaled) feature row, using the
     /// quantized deployment path.
     pub fn predict_raw(&self, raw_row: &[f32]) -> f32 {
-        let mut row = raw_row.to_vec();
-        if let Some(s) = &self.scaler {
-            s.transform_row(&mut row);
-        }
-        match &self.quantized {
-            Some(q) => q.predict(&row),
-            None => self.mlp.predict(&row),
-        }
+        let mut p = 0.0;
+        BatchScratch::with_local(|scratch| self.score_rows(raw_row, scratch, |score| p = score));
+        p
     }
 
     /// Hard decision: `true` = decline/reroute (calibrated threshold).
@@ -248,11 +243,35 @@ impl Trained {
         self.predict_raw(raw_row) >= self.threshold
     }
 
-    /// Scores a row-major batch of raw (unscaled) feature rows in one
-    /// weight-matrix sweep of the quantized batch engine, appending each
-    /// row's slow-probability to `out`. Results are bitwise identical to
-    /// [`Trained::predict_raw`] per row; the f32 network serves unbatched
-    /// when the architecture was not quantizable.
+    /// Scales and scores each row of a row-major batch of raw feature rows
+    /// through the decision kernel, one row at a time in `scratch` (whose
+    /// size does not depend on the batch), handing each slow-probability to
+    /// `sink`. The f32 network serves when the architecture was not
+    /// quantizable.
+    fn score_rows(&self, rows: &[f32], scratch: &mut BatchScratch, mut sink: impl FnMut(f32)) {
+        let dim = self.mlp.config().input_dim;
+        assert!(
+            dim > 0 && rows.len().is_multiple_of(dim),
+            "input dimensionality mismatch"
+        );
+        let mut scaled = scratch.take_rows();
+        for row in rows.chunks_exact(dim) {
+            scaled.clear();
+            scaled.extend_from_slice(row);
+            if let Some(s) = &self.scaler {
+                s.transform_row(&mut scaled);
+            }
+            sink(match &self.quantized {
+                Some(q) => q.predict_with(&scaled, scratch),
+                None => self.mlp.predict(&scaled),
+            });
+        }
+        scratch.put_rows(scaled);
+    }
+
+    /// Appends the slow-probability of every row of a row-major batch of
+    /// raw (unscaled) feature rows to `out`. Results are bitwise identical
+    /// to [`Trained::predict_raw`] per row.
     ///
     /// # Panics
     ///
@@ -263,35 +282,18 @@ impl Trained {
         scratch: &mut BatchScratch,
         out: &mut Vec<f32>,
     ) {
-        let dim = self.mlp.config().input_dim;
-        assert!(
-            dim > 0 && rows.len().is_multiple_of(dim),
-            "input dimensionality mismatch"
-        );
-        let mut scaled = scratch.take_rows();
-        scaled.extend_from_slice(rows);
-        if let Some(s) = &self.scaler {
-            for row in scaled.chunks_mut(dim) {
-                s.transform_row(row);
-            }
-        }
-        match &self.quantized {
-            Some(q) => q.predict_batch_into(&scaled, scratch, out),
-            None => out.extend(scaled.chunks(dim).map(|row| self.mlp.predict(row))),
-        }
-        scratch.put_rows(scaled);
+        self.score_rows(rows, scratch, |p| out.push(p));
     }
 
     /// Allocating wrapper over [`Trained::predict_raw_batch_into`].
     pub fn predict_raw_batch(&self, rows: &[f32]) -> Vec<f32> {
-        let mut scratch = BatchScratch::new();
         let mut out = Vec::new();
-        self.predict_raw_batch_into(rows, &mut scratch, &mut out);
+        BatchScratch::with_local(|scratch| self.predict_raw_batch_into(rows, scratch, &mut out));
         out
     }
 
     /// Batched hard decisions at the calibrated threshold (`true` =
-    /// decline/reroute), one weight sweep for the whole group.
+    /// decline/reroute).
     ///
     /// # Panics
     ///
@@ -302,14 +304,10 @@ impl Trained {
         scratch: &mut BatchScratch,
         out: &mut Vec<bool>,
     ) {
-        let mut scores = scratch.take_scores();
-        self.predict_raw_batch_into(rows, scratch, &mut scores);
-        out.extend(scores.iter().map(|&p| p >= self.threshold));
-        scratch.put_scores(scores);
+        self.score_rows(rows, scratch, |p| out.push(p >= self.threshold));
     }
 
-    /// Scores every row of a raw dataset through the batched quantized
-    /// path (bitwise identical to scoring row by row).
+    /// Scores every row of a raw dataset through the decision kernel.
     pub fn predict_dataset(&self, data: &Dataset) -> Vec<f32> {
         self.predict_raw_batch(&data.x)
     }

@@ -3,11 +3,16 @@
 //! The paper multiplies all weights by 1024 and quantizes biases to match the
 //! scale, which captures the non-zero digits of most weights within four
 //! decimal points and drops inference to ~0.05 µs. This module reproduces
-//! that scheme: weights become `i32`, accumulation happens in `i64`, every
-//! layer rescales back by the quantization factor, ReLU stays in the integer
-//! domain, and only the final logit is dequantized for the sigmoid.
+//! that scheme: weights become `i32` and biases `i64` (the canonical
+//! parameters), every layer rescales back by the quantization factor, ReLU
+//! stays in the integer domain, and only the final logit is dequantized for
+//! the sigmoid. At quantize time each layer is also packed as `i16` weights
+//! with the activation bound under which `i32` accumulation is exact; the
+//! row kernel in [`crate::batch`] runs on that pack and reruns a row at
+//! `i64` width whenever a bound is missed.
 
 use crate::activation::{sigmoid, Activation};
+use crate::batch::BatchScratch;
 use crate::mlp::Mlp;
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +31,69 @@ pub(crate) struct QLayer {
     /// Negative-side slope numerator for leaky variants, in 1/1024 units
     /// (0 for plain ReLU, 1024 for linear pass-through).
     pub(crate) neg_slope_q: i64,
+    /// Input magnitude at which the i64 pass saturates this layer's input
+    /// activations, so no accumulator can wrap in either build profile.
+    pub(crate) amax64: i64,
+    /// Derived cache of `w` for the i32 pass: pair-interleaved
+    /// `[in_pad / 2][out_pad][2]`, input dim padded to even and output dim
+    /// to a multiple of 4 with zeros.
+    pub(crate) w16: Vec<i16>,
+    /// `b` at i32 width, zero-padded to `out_pad`.
+    pub(crate) b32: Vec<i32>,
+    /// Largest input magnitude for which the i32 pass is exact on this
+    /// layer; -1 when its weights or biases do not fit i16/i32.
+    pub(crate) amax: i32,
+}
+
+/// Largest input-activation magnitude `a` with `|b| + Σ|w|·a ≤ limit` on
+/// every output row. Every partial sum of `b + Σ w·x`, in any order, is
+/// bounded by that left-hand side when `|x| ≤ a`, so an accumulator that
+/// holds `limit` never wraps.
+fn act_bound(limit: u64, w: &[i32], b: &[i64], in_dim: usize) -> u64 {
+    w.chunks(in_dim)
+        .zip(b)
+        .map(|(row, b)| {
+            let sum: u64 = row.iter().map(|w| u64::from(w.unsigned_abs())).sum();
+            limit.saturating_sub(b.unsigned_abs()) / sum.max(1)
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+impl QLayer {
+    fn new(in_dim: usize, w: Vec<i32>, b: Vec<i64>, neg_slope_q: i64) -> QLayer {
+        let out_dim = b.len();
+        let (in_pad, out_pad) = (in_dim.next_multiple_of(2), out_dim.next_multiple_of(4));
+        let mut w16 = vec![0i16; in_pad * out_pad];
+        for (o, row) in w.chunks(in_dim).enumerate() {
+            for (k, &wq) in row.iter().enumerate() {
+                w16[(k / 2 * out_pad + o) * 2 + k % 2] = wq as i16;
+            }
+        }
+        let mut b32 = vec![0i32; out_pad];
+        for (q, &bq) in b32.iter_mut().zip(&b) {
+            *q = bq as i32;
+        }
+        let fits = w.iter().all(|&w| i16::try_from(w).is_ok())
+            && b.iter().all(|&b| i32::try_from(b).is_ok());
+        let amax = act_bound(i32::MAX as u64, &w, &b, in_dim).min(i16::MAX as u64) as i32;
+        QLayer {
+            amax64: act_bound(i64::MAX as u64, &w, &b, in_dim) as i64,
+            amax: if fits { amax } else { -1 },
+            in_dim,
+            out_dim,
+            w,
+            b,
+            neg_slope_q,
+            w16,
+            b32,
+        }
+    }
+
+    /// Input width of the i16 pack.
+    pub(crate) fn in_pad(&self) -> usize {
+        self.in_dim.next_multiple_of(2)
+    }
 }
 
 /// A quantized feed-forward network for deployment.
@@ -33,6 +101,11 @@ pub(crate) struct QLayer {
 pub struct QuantizedMlp {
     pub(crate) layers: Vec<QLayer>,
     pub(crate) scale: i32,
+    /// `log2(scale)` when the scale is a power of two: requantization is a
+    /// shift then, not a hardware divide.
+    pub(crate) shift: Option<u32>,
+    /// Widest padded activation or accumulator plane of any layer.
+    pub(crate) width: usize,
     pub(crate) sigmoid_output: bool,
 }
 
@@ -52,6 +125,8 @@ impl QuantizedMlp {
         let params = model.layer_params();
         let n = params.len();
         let mut layers = Vec::with_capacity(n);
+        let quantize_w = |x: f32| (x * scale as f32).round() as i32;
+        let quantize_b = |x: f32| (x as f64 * scale as f64 * scale as f64).round() as i64;
         for (li, (w, b, in_dim, out_dim, act, alpha)) in params.into_iter().enumerate() {
             let last = li == n - 1;
             let neg_slope_q = if last {
@@ -68,42 +143,29 @@ impl QuantizedMlp {
                     }
                 }
             };
-            let (wq, bq, out_dim) = if last && out_dim == 2 {
+            let (wq, bq) = if last && out_dim == 2 {
                 // Fold softmax-2 into one logit: z = z1 - z0.
-                let mut wd = Vec::with_capacity(in_dim);
-                for k in 0..in_dim {
-                    wd.push(w[in_dim + k] - w[k]);
-                }
-                let bd = b[1] - b[0];
-                (
-                    wd.iter()
-                        .map(|&x| (x * scale as f32).round() as i32)
-                        .collect::<Vec<_>>(),
-                    vec![(bd as f64 * scale as f64 * scale as f64).round() as i64],
-                    1,
-                )
+                let wd = (0..in_dim).map(|k| quantize_w(w[in_dim + k] - w[k]));
+                (wd.collect(), vec![quantize_b(b[1] - b[0])])
             } else {
                 (
-                    w.iter()
-                        .map(|&x| (x * scale as f32).round() as i32)
-                        .collect::<Vec<_>>(),
-                    b.iter()
-                        .map(|&x| (x as f64 * scale as f64 * scale as f64).round() as i64)
-                        .collect::<Vec<_>>(),
-                    out_dim,
+                    w.iter().map(|&x| quantize_w(x)).collect(),
+                    b.iter().map(|&x| quantize_b(x)).collect(),
                 )
             };
-            layers.push(QLayer {
-                in_dim,
-                out_dim,
-                w: wq,
-                b: bq,
-                neg_slope_q,
-            });
+            layers.push(QLayer::new(in_dim, wq, bq, neg_slope_q));
         }
         QuantizedMlp {
+            width: layers
+                .iter()
+                .map(|l| l.in_pad().max(l.b32.len()))
+                .max()
+                .unwrap_or(0),
             layers,
             scale,
+            shift: (scale as u32)
+                .is_power_of_two()
+                .then(|| scale.trailing_zeros()),
             sigmoid_output: true,
         }
     }
@@ -119,12 +181,37 @@ impl QuantizedMlp {
     }
 
     /// Deployed memory footprint in bytes (i32 weights + i64 biases), the
-    /// Fig 16a number.
+    /// Fig 16a number. The ~7.5 KB i16 pack is a cache derived from these
+    /// canonical parameters and is not counted.
     pub fn memory_bytes(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.w.len() * 4 + l.b.len() * 8)
             .sum()
+    }
+
+    /// Truncate-toward-zero `v / scale`; for a power-of-two scale a shift
+    /// with the sign fix-up that keeps negative quotients truncating.
+    #[inline]
+    fn div_scale(&self, v: i64) -> i64 {
+        match self.shift {
+            Some(k) => (v + ((v >> 63) & (self.scale as i64 - 1))) >> k,
+            None => v / self.scale as i64,
+        }
+    }
+
+    /// Rescales an accumulator from scale² to scale and applies the
+    /// ReLU-family slope. Shared by both passes of the row kernel.
+    #[inline]
+    pub(crate) fn requant(&self, acc: i64, neg_slope_q: i64) -> i64 {
+        let z = self.div_scale(acc);
+        if z >= 0 || neg_slope_q == self.scale as i64 {
+            z
+        } else if neg_slope_q == 0 {
+            0
+        } else {
+            self.div_scale(z.saturating_mul(neg_slope_q))
+        }
     }
 
     /// Raw dequantized output logit for a (already scaled) f32 feature row.
@@ -133,40 +220,47 @@ impl QuantizedMlp {
     ///
     /// Panics if `x.len()` differs from the input dimension.
     pub fn logit(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.input_dim(), "input dimensionality mismatch");
-        let s = self.scale as i64;
-        // Quantize the input.
-        let mut a: Vec<i64> = x
-            .iter()
-            .map(|&v| (v * self.scale as f32).round() as i64)
-            .collect();
-        let mut next: Vec<i64> = Vec::new();
-        for layer in &self.layers {
-            next.clear();
-            for o in 0..layer.out_dim {
-                let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                let mut acc: i64 = layer.b[o];
-                for (&wq, &aq) in row.iter().zip(&a) {
-                    acc += wq as i64 * aq;
-                }
-                // Rescale from scale² to scale.
-                let z = acc / s;
-                let y = if z >= 0 { z } else { z * layer.neg_slope_q / s };
-                next.push(y);
-            }
-            std::mem::swap(&mut a, &mut next);
-        }
-        a[0] as f32 / self.scale as f32
+        BatchScratch::with_local(|s| self.logit_with(x, s))
     }
 
-    /// Probability the I/O is slow.
-    pub fn predict(&self, x: &[f32]) -> f32 {
-        let z = self.logit(x);
+    /// The i64 pass alone: the reference arithmetic every logit is bitwise
+    /// equal to, and the fallback for rows the i32 pass declines.
+    pub fn logit_wide(&self, x: &[f32]) -> f32 {
+        BatchScratch::with_local(|s| self.wide_row(x, s))
+    }
+
+    /// The i32 pass alone: `None` when an activation exceeds a layer's
+    /// exactness bound (or the model does not fit i16/i32), in which case
+    /// [`QuantizedMlp::logit`] reruns the row through the i64 pass.
+    pub fn logit_narrow(&self, x: &[f32]) -> Option<f32> {
+        BatchScratch::with_local(|s| self.narrow_row(x, s))
+    }
+
+    /// Test hook: lowers (never raises) the i32 pass's activation bound on
+    /// one layer, to force a decline there.
+    #[doc(hidden)]
+    pub fn clamp_narrow_bound(&mut self, layer: usize, amax: i32) {
+        self.layers[layer].amax = self.layers[layer].amax.min(amax);
+    }
+
+    /// Maps a logit to the probability the I/O is slow.
+    #[inline]
+    pub(crate) fn squash(&self, z: f32) -> f32 {
         if self.sigmoid_output {
             sigmoid(z)
         } else {
             z.clamp(0.0, 1.0)
         }
+    }
+
+    /// Probability the I/O is slow.
+    pub fn predict(&self, x: &[f32]) -> f32 {
+        BatchScratch::with_local(|s| self.predict_with(x, s))
+    }
+
+    /// [`QuantizedMlp::predict`] in a caller-owned arena.
+    pub fn predict_with(&self, x: &[f32], scratch: &mut BatchScratch) -> f32 {
+        self.squash(self.logit_with(x, scratch))
     }
 
     /// Hard admit/decline decision without the sigmoid (logit sign test) —

@@ -1,13 +1,16 @@
-//! Differential-testing harness for the three inference paths.
+//! Differential-testing harness for the inference paths.
 //!
-//! Replays the same feature stream through the float [`Mlp`], the scalar
-//! [`QuantizedMlp`] path, and the batched kernel, and checks the two
-//! contracts the deployment stack rests on (§4.1):
+//! Replays the same feature stream through the float [`Mlp`] and through
+//! the quantized decision kernel by each of its entry points (scalar,
+//! batched) and each of its passes (i32 fast path, i64 reference), and
+//! checks the contracts the deployment stack rests on (§4.1):
 //!
-//! 1. **Batch ≡ scalar, bitwise.** Integer accumulation is exact, so the
-//!    batched weight-sweep must reproduce the scalar quantized logits bit
-//!    for bit — any mismatch is a kernel bug, counted (never tolerated) in
-//!    [`DiffReport::batch_bitwise_mismatches`].
+//! 1. **Every quantized entry point ≡ the i64 pass, bitwise.** Integer
+//!    accumulation is exact at both widths, so the batched and scalar entry
+//!    points and whichever pass answers must agree bit for bit — any
+//!    mismatch is a kernel bug, counted (never tolerated) in
+//!    [`DiffReport::batch_bitwise_mismatches`]. The share of rows the i32
+//!    pass answered is [`DiffReport::narrow_hit_rate`].
 //! 2. **Quantized ≈ float.** ×1024 quantization may drift the probability a
 //!    little and may flip a decision only when the float probability sits
 //!    essentially on the threshold. The report carries the observed
@@ -55,6 +58,8 @@ pub struct DiffReport {
     /// Batched logits or probabilities that failed bitwise equality with
     /// the scalar quantized path. Must be zero.
     pub batch_bitwise_mismatches: u64,
+    /// Rows the i32 fast path answered without falling back to the i64 pass.
+    pub narrow_hits: u64,
     /// Rows where the quantized decision matched the float decision.
     pub decision_agreements: u64,
     /// Largest `|float probability - quantized probability|` observed.
@@ -64,10 +69,19 @@ pub struct DiffReport {
 impl DiffReport {
     /// Fraction of rows where quantized and float decisions agree.
     pub fn decision_agreement(&self) -> f64 {
+        self.share(self.decision_agreements)
+    }
+
+    /// Fraction of rows the i32 fast path answered.
+    pub fn narrow_hit_rate(&self) -> f64 {
+        self.share(self.narrow_hits)
+    }
+
+    fn share(&self, count: u64) -> f64 {
         if self.rows == 0 {
             return 1.0;
         }
-        self.decision_agreements as f64 / self.rows as f64
+        count as f64 / self.rows as f64
     }
 }
 
@@ -102,7 +116,7 @@ pub fn random_stream(seed: u64, rows: usize, dim: usize) -> Vec<f32> {
 }
 
 /// Replays `cfg.models` randomized models over seeded streams, scoring
-/// every row through all three paths.
+/// every row through every path.
 ///
 /// Batch widths cycle `1..=max_batch` across the stream and the final
 /// chunk is whatever ragged tail remains, so every width is hit. The
@@ -133,15 +147,19 @@ pub fn run_diff(cfg: &DiffConfig) -> DiffReport {
             quant.predict_batch_into(rows, &mut scratch, &mut batch_probs);
             for (r, row) in rows.chunks_exact(dim).enumerate() {
                 report.rows += 1;
-                // Path 1 vs 2: batched vs scalar quantized, bitwise.
+                // Batched vs scalar entry point vs each pass, bitwise.
                 let scalar_logit = quant.logit(row);
                 let scalar_prob = quant.predict(row);
+                let narrow = quant.logit_narrow(row);
+                report.narrow_hits += u64::from(narrow.is_some());
                 if batch_logits[r].to_bits() != scalar_logit.to_bits()
                     || batch_probs[r].to_bits() != scalar_prob.to_bits()
+                    || quant.logit_wide(row).to_bits() != scalar_logit.to_bits()
+                    || narrow.is_some_and(|z| z.to_bits() != scalar_logit.to_bits())
                 {
                     report.batch_bitwise_mismatches += 1;
                 }
-                // Path 2 vs 3: quantized vs float, statistical.
+                // Quantized vs float, statistical.
                 let float_prob = mlp.predict(row);
                 let drift = (float_prob - scalar_prob).abs();
                 if drift > report.max_probability_drift {

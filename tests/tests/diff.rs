@@ -17,6 +17,11 @@ fn differential_harness_holds_all_three_paths_together() {
         "batched quantized inference must be bitwise identical to scalar"
     );
     assert!(
+        report.narrow_hit_rate() >= 0.99,
+        "i32 fast path answered only {:.4} of an in-distribution stream",
+        report.narrow_hit_rate()
+    );
+    assert!(
         report.decision_agreement() >= 0.99,
         "quantized-vs-float decision agreement {:.4} below 99%",
         report.decision_agreement()

@@ -10,7 +10,7 @@
 //! fast path and a reference path (event queue, trace merge, radix
 //! recorder, batched quantized inference, bulk scaling, threshold tuner,
 //! parallel sweeps, model-zoo batched prediction, columnar featurization,
-//! history ring) and law-based where it models physics or math (replay
+//! history ring, the decision kernel's i32 pass) and law-based where it models physics or math (replay
 //! read conservation, fault-window causality, validation classification,
 //! tied-rank ROC AUC).
 
@@ -23,7 +23,9 @@ use heimdall_integration::gen::{random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
 use heimdall_metrics::{roc_auc, LatencyRecorder};
 use heimdall_models::automl::Family;
-use heimdall_nn::{Dataset, QuantizedMlp, Scaler, ScalerKind};
+use heimdall_nn::{
+    Activation, Dataset, Mlp, MlpConfig, OutputLayer, QuantizedMlp, Scaler, ScalerKind,
+};
 use heimdall_policies::{Baseline, Hedging};
 use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultPlanError, FaultWindow, SsdDevice};
 use heimdall_trace::rng::Rng64;
@@ -970,5 +972,143 @@ fn prop_history_ring_matches_vecdeque_model() {
             }
             Ok(())
         },
+    );
+}
+
+/// Property 16: The decision kernel's i32 pass is bitwise-identical to the
+/// i64 pass, or declines — over weights amplified to straddle the i16 bound,
+/// biases on both sides of the i32 and i64 bounds, out-of-range and
+/// non-finite inputs, leaky/PReLU/linear hidden layers, the softmax-2 fold,
+/// odd input widths, layer widths that are not a multiple of 4 and networks
+/// of one to three layers. A miss
+/// forced at each layer in turn must fall back to the same logit, and the
+/// i64 pass must survive every input without overflow (checked arithmetic in
+/// dev, saturation in release).
+#[test]
+fn prop_narrow_pass_matches_wide_pass_or_declines() {
+    use std::cell::Cell;
+    let strat = tuple3(
+        u64_in(0..=1 << 40),
+        tuple2(u64_in(0..=9), u64_in(0..=9)),
+        tuple2(u64_in(0..=1 << 40), usize_in(1..=12)),
+    );
+    let (hits, declines) = (Cell::new(0u64), Cell::new(0u64));
+    check(
+        "prop_narrow_pass_matches_wide_pass_or_declines",
+        &Config::seeded(0x10),
+        &strat,
+        |&(model_seed, (amp_idx, bias_idx), (stream_seed, rows))| {
+            let mut rng = Rng64::new(model_seed ^ 0x6e61_7272);
+            let acts = [
+                Activation::ReLU,
+                Activation::LeakyReLU(0.1),
+                Activation::PReLU(-0.25),
+                Activation::Linear,
+            ];
+            let cfg = MlpConfig {
+                input_dim: 1 + rng.below(17) as usize,
+                hidden: (0..rng.below(3))
+                    .map(|_| (1 + rng.below(37) as usize, acts[rng.below(4) as usize]))
+                    .collect(),
+                output: if rng.chance(0.3) {
+                    OutputLayer::Softmax2
+                } else {
+                    OutputLayer::Sigmoid
+                },
+            };
+            let layers = cfg.hidden.len() + 1;
+            let dim = cfg.input_dim;
+            // He-init weights quantize to 600–2500 depending on fan-in, so
+            // ×16 to ×64 straddles i16. Biases start at exactly zero, which
+            // is how the closure tells them from weights; 2048 × 1024² = 2³¹.
+            let amp = [1.0, 1.0, -1.0, 0.0, 2.0, 4.0, 16.0, 40.0, 64.0, 3000.0][amp_idx as usize];
+            let bias =
+                [0.0, 0.0, 0.0, 0.3, -1.7, 3.0, 20.0, 2047.9, -2048.5, 1e13][bias_idx as usize];
+            let mut mlp = Mlp::new(cfg, rng.next_u64());
+            mlp.map_params(|p| if p == 0.0 { bias } else { p * amp });
+            let q = QuantizedMlp::quantize_paper(&mlp);
+            let mut stream = random_stream(stream_seed, rows, dim);
+            let wild = [
+                40.0,
+                -40.0,
+                1e4,
+                1e30,
+                -1e30,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            for v in &mut stream {
+                if rng.chance(0.02) {
+                    *v = wild[rng.below(wild.len() as u64) as usize];
+                }
+            }
+            // Worst-case probes for the first layer's bound: inputs of one
+            // magnitude, signs aligned with (or against) one weight row, so
+            // that row's accumulator reaches |b| ± Σ|w|·a exactly — on a
+            // ladder of magnitudes that crosses the bound wherever it lies.
+            // With no hidden layer nothing downstream declines the row
+            // first, so an inexact bound shows as a wrong logit.
+            let flat = mlp.flat_params();
+            let aligned: Vec<f64> = match mlp.config().hidden.first() {
+                Some(&(units, _)) => {
+                    let o = rng.below(units as u64) as usize;
+                    flat[o * dim..(o + 1) * dim].to_vec()
+                }
+                None if mlp.config().output == OutputLayer::Softmax2 => {
+                    (0..dim).map(|k| flat[dim + k] - flat[k]).collect()
+                }
+                None => flat[..dim].to_vec(),
+            };
+            let signs: Vec<f32> = aligned
+                .iter()
+                .map(|&w| if w < 0.0 { -1.0 } else { 1.0 })
+                .collect();
+            let mut a = 1u32;
+            while a < 40_000 {
+                let polarity = if a.is_multiple_of(2) { 1.0 } else { -1.0 };
+                stream.extend(signs.iter().map(|s| polarity * s * a as f32 / 1024.0));
+                a = a * 4 / 3 + 1;
+            }
+            let forced: Vec<QuantizedMlp> = (0..layers)
+                .map(|layer| {
+                    let mut f = q.clone();
+                    f.clamp_narrow_bound(layer, -1);
+                    f
+                })
+                .collect();
+            for (r, row) in stream.chunks_exact(dim).enumerate() {
+                let wide = q.logit_wide(row).to_bits();
+                match q.logit_narrow(row) {
+                    Some(z) if z.to_bits() != wide => {
+                        return Err(format!(
+                            "row {r}: narrow {z} vs wide (amp {amp}, bias {bias})"
+                        ));
+                    }
+                    Some(_) => hits.set(hits.get() + 1),
+                    None => declines.set(declines.get() + 1),
+                }
+                if q.logit(row).to_bits() != wide {
+                    return Err(format!("row {r}: kernel diverged from the i64 pass"));
+                }
+                for (layer, f) in forced.iter().enumerate() {
+                    if f.logit_narrow(row).is_some() {
+                        return Err(format!("row {r}: no decline at forced layer {layer}"));
+                    }
+                    if f.logit(row).to_bits() != wide {
+                        return Err(format!("row {r}: fallback from layer {layer} diverged"));
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    // Skipped on a single-case replay (`HEIMDALL_PROP_SEED`).
+    let rows = hits.get() + declines.get();
+    assert!(
+        rows < 256 || (hits.get() * 10 >= rows && declines.get() * 10 >= rows),
+        "one-sided run: {} hits, {} declines",
+        hits.get(),
+        declines.get()
     );
 }
