@@ -850,15 +850,15 @@ mod tests {
                 1 => 1.0 - 0.75 * max_drop,
                 _ => (1.0 - max_drop) * 0.5,
             };
-            lats.extend(std::iter::repeat((code % 2) as f64).take(len));
-            thpts.extend(std::iter::repeat(thpt).take(len));
+            lats.extend(std::iter::repeat_n((code % 2) as f64, len));
+            thpts.extend(std::iter::repeat_n(thpt, len));
         }
         (lats, thpts)
     }
 
-    /// Labels from the pre-`reach` tail-zone extension, kept verbatim as
-    /// the model: every seed walks its zone from `s + 1`, so `k` seeds in
-    /// one zone of length `l` cost `k * l` steps.
+    /// The model: labels from the per-seed tail-zone walk, where every
+    /// seed walks its zone from `s + 1` (so `k` seeds in one zone of length
+    /// `l` cost `k * l` steps).
     fn naive_tail_zones(n: usize, seeds: &[usize], thpts: &[f64], extend_below: f64) -> Vec<bool> {
         let mut labels = vec![false; n];
         for &s in seeds.iter() {

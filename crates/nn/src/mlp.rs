@@ -186,6 +186,38 @@ fn axpy_f32(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// Magnitude below which a trained *parameter* (weight, bias, PReLU slope)
+/// is stored as `+0.0`: 2⁻⁶³, the square root of `f32::MIN_POSITIVE`.
+///
+/// A weight whose data gradient is identically zero (into or out of a dead
+/// ReLU unit, or on a constant-zero input column) is shrunk by L2 through
+/// Adam on every step, never reaches zero, and parks where `l2 · w`
+/// underflows; from then on every product, `g * g` and moment decay that
+/// touches it is a subnormal operation, which x86 serves from microcode at
+/// ~150 cycles each. Below 2⁻⁶³ even the square of the value is subnormal.
+/// Exact zero is a fixed point: its gradient is exactly zero, so its
+/// moments stay zero too. The ×1024 quantizer resolves 2⁻¹¹, 52 binades
+/// above this, and for inputs in `[0, 1]` any pre-activation sum above 2⁻³⁸
+/// absorbs such a term, so the deployed `QuantizedMlp` does not change.
+const PARAM_FLUSH: f32 = 1.0 / (1u64 << 63) as f32;
+
+/// Magnitude below which an optimizer *moment* is stored as `0.0`: only
+/// once it is itself subnormal. Lower than [`PARAM_FLUSH`] on purpose:
+/// Adam's second moment enters the step as `√v̂ + 1e-8`, so values down to
+/// ~1e-31 still move it, and flushing them at 2⁻⁶³ changes trained models.
+const MOMENT_FLUSH: f32 = f32::MIN_POSITIVE;
+
+/// `x`, or `+0.0` when `|x| < min` — how [`Mlp::apply_update`] stores
+/// every value, with [`PARAM_FLUSH`] or [`MOMENT_FLUSH`].
+#[inline]
+fn flush(x: f32, min: f32) -> f32 {
+    if x.abs() < min {
+        0.0
+    } else {
+        x
+    }
+}
+
 /// Optimizer choices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Optimizer {
@@ -701,7 +733,9 @@ impl Mlp {
     }
 
     /// Applies one batch-mean optimizer step from accumulated gradients —
-    /// the single update routine behind both training paths.
+    /// the single update routine behind both training paths. Every value it
+    /// stores goes through [`flush`], so training state never holds a
+    /// subnormal.
     fn apply_update(
         &mut self,
         opts: &TrainOpts,
@@ -711,48 +745,56 @@ impl Mlp {
         galpha: &[f32],
         st: &mut OptState,
     ) {
+        const B1: f32 = 0.9;
+        const B2: f32 = 0.999;
+        const EPS: f32 = 1e-8;
         st.t += 1;
-        for li in 0..self.layers.len() {
-            let (lr, l2) = (opts.lr, opts.l2);
+        // Past i32::MAX steps both corrections are 1 to the last bit; a
+        // wrapping cast would make the exponent negative and `bc` -inf.
+        let t = i32::try_from(st.t).unwrap_or(i32::MAX);
+        let (bc1, bc2) = (1.0 - B1.powi(t), 1.0 - B2.powi(t));
+        let (lr, l2) = (opts.lr, opts.l2);
+        let adam = |p: &mut f32, m: &mut f32, v: &mut f32, g: f32| {
+            let m1 = B1 * *m + (1.0 - B1) * g;
+            let v1 = B2 * *v + (1.0 - B2) * g * g;
+            let step = lr * (m1 / bc1) / ((v1 / bc2).sqrt() + EPS);
+            *p = flush(*p - step, PARAM_FLUSH);
+            *m = flush(m1, MOMENT_FLUSH);
+            *v = flush(v1, MOMENT_FLUSH);
+        };
+        for (li, layer) in self.layers.iter_mut().enumerate() {
+            let (gw, gb) = (&gw[li][..], &gb[li][..]);
+            let (mw, mb) = (&mut st.mw[li][..], &mut st.mb[li][..]);
             match opts.optimizer {
                 Optimizer::Sgd { momentum } => {
-                    let layer = &mut self.layers[li];
-                    for (k, w) in layer.w.iter_mut().enumerate() {
-                        let g = gw[li][k] * scale + l2 * *w;
-                        st.mw[li][k] = momentum * st.mw[li][k] + g;
-                        *w -= lr * st.mw[li][k];
+                    let sgd = |p: &mut f32, m: &mut f32, g: f32| {
+                        let m1 = momentum * *m + g;
+                        *p = flush(*p - lr * m1, PARAM_FLUSH);
+                        *m = flush(m1, MOMENT_FLUSH);
+                    };
+                    for ((w, m), &g) in layer.w.iter_mut().zip(mw).zip(gw) {
+                        sgd(w, m, g * scale + l2 * *w);
                     }
-                    for (k, b) in layer.b.iter_mut().enumerate() {
-                        let g = gb[li][k] * scale;
-                        st.mb[li][k] = momentum * st.mb[li][k] + g;
-                        *b -= lr * st.mb[li][k];
+                    for ((b, m), &g) in layer.b.iter_mut().zip(mb).zip(gb) {
+                        sgd(b, m, g * scale);
                     }
                 }
                 Optimizer::Adam => {
-                    const B1: f32 = 0.9;
-                    const B2: f32 = 0.999;
-                    const EPS: f32 = 1e-8;
-                    let bc1 = 1.0 - B1.powi(st.t as i32);
-                    let bc2 = 1.0 - B2.powi(st.t as i32);
-                    let layer = &mut self.layers[li];
-                    for (k, w) in layer.w.iter_mut().enumerate() {
-                        let g = gw[li][k] * scale + l2 * *w;
-                        st.mw[li][k] = B1 * st.mw[li][k] + (1.0 - B1) * g;
-                        st.vw[li][k] = B2 * st.vw[li][k] + (1.0 - B2) * g * g;
-                        *w -= lr * (st.mw[li][k] / bc1) / ((st.vw[li][k] / bc2).sqrt() + EPS);
+                    let (vw, vb) = (&mut st.vw[li][..], &mut st.vb[li][..]);
+                    for (((w, m), v), &g) in layer.w.iter_mut().zip(mw).zip(vw).zip(gw) {
+                        adam(w, m, v, g * scale + l2 * *w);
                     }
-                    for (k, b) in layer.b.iter_mut().enumerate() {
-                        let g = gb[li][k] * scale;
-                        st.mb[li][k] = B1 * st.mb[li][k] + (1.0 - B1) * g;
-                        st.vb[li][k] = B2 * st.vb[li][k] + (1.0 - B2) * g * g;
-                        *b -= lr * (st.mb[li][k] / bc1) / ((st.vb[li][k] / bc2).sqrt() + EPS);
+                    for (((b, m), v), &g) in layer.b.iter_mut().zip(mb).zip(vb).zip(gb) {
+                        adam(b, m, v, g * scale);
                     }
                 }
             }
-            if self.layers[li].act.is_prelu() {
-                self.layers[li].alpha -= opts.lr * galpha[li] * scale;
+            if layer.act.is_prelu() {
+                layer.alpha = flush(layer.alpha - lr * galpha[li] * scale, PARAM_FLUSH);
             }
         }
+        #[cfg(test)]
+        assert_flushed(&self.layers, st);
     }
 
     fn output_loss(&self, logits: &[f32], y: f32) -> f32 {
@@ -792,6 +834,25 @@ impl Mlp {
                 out[1] = weight * (e1 / s - y);
             }
         }
+    }
+}
+
+/// Unit-test builds check after every optimizer step that training state
+/// holds no parameter in `(0, 2⁻⁶³)` and no subnormal moment.
+#[cfg(test)]
+fn assert_flushed(layers: &[Layer], st: &OptState) {
+    for l in layers {
+        for &p in l.w.iter().chain(&l.b).chain([&l.alpha]) {
+            assert!(
+                p == 0.0 || p.abs() >= PARAM_FLUSH,
+                "step {}: parameter {p:e} below 2^-63",
+                st.t
+            );
+        }
+    }
+    let moments = [&st.mw, &st.mb, &st.vw, &st.vb];
+    for &m in moments.into_iter().flatten().flatten() {
+        assert!(!m.is_subnormal(), "step {}: subnormal moment {m:e}", st.t);
     }
 }
 
@@ -954,6 +1015,82 @@ mod tests {
         a.train(&data, &TrainOpts::default());
         b.train(&data, &TrainOpts::default());
         assert_eq!(a.flat_params(), b.flat_params());
+    }
+
+    /// Weights with an identically zero data gradient — the incoming
+    /// weights of an always-zero input column, and both sides of dead ReLU
+    /// units (128 units on two live inputs leaves some) — see only L2, which
+    /// shrinks them toward zero without reaching it. [`assert_flushed`] runs
+    /// after every step of every run here; the end state must show the
+    /// flush fired (exact zeros in the dead column) for each trainer,
+    /// optimizer and ReLU-family slope.
+    #[test]
+    fn zero_gradient_weights_end_at_exact_zero_not_subnormal() {
+        let mut data = Dataset::new(3);
+        let mut rng = Rng64::new(23);
+        for _ in 0..600 {
+            let (a, b) = (rng.f32(), rng.f32());
+            data.push(&[a, 0.0, b], if a + b > 1.0 { 1.0 } else { 0.0 });
+        }
+        // ~3,000 steps: under Adam the shrink takes ~2,400 to cross 2^-63.
+        // SGD's L2 shrink is geometric at `lr * l2 / (1 - momentum)` per
+        // step; the large decay makes it cross 2^-63 within the run.
+        let optimizers = [
+            (Optimizer::Adam, 5e-3, 1e-5),
+            (Optimizer::Sgd { momentum: 0.9 }, 2e-2, 2.0),
+        ];
+        let acts = [
+            Activation::ReLU,
+            Activation::LeakyReLU(0.1),
+            Activation::PReLU(0.25),
+        ];
+        for (optimizer, lr, l2) in optimizers {
+            for act in acts {
+                for reference in [false, true] {
+                    let cfg = MlpConfig {
+                        input_dim: 3,
+                        hidden: vec![(128, act), (16, act)],
+                        output: OutputLayer::Sigmoid,
+                    };
+                    let opts = TrainOpts {
+                        epochs: 80,
+                        batch_size: 16,
+                        lr,
+                        l2,
+                        optimizer,
+                        ..Default::default()
+                    };
+                    let mut m = Mlp::new(cfg, 24);
+                    if reference {
+                        m.train_reference(&data, &opts);
+                    } else {
+                        m.train(&data, &opts);
+                    }
+                    let dead_column = m.layers[0].w.iter().skip(1).step_by(3);
+                    let zeros = dead_column.filter(|&&w| w == 0.0).count();
+                    assert!(
+                        zeros > 0,
+                        "{optimizer:?} {act:?} reference={reference}: no dead-column weight reached 0"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adam_bias_correction_saturates_past_i32_steps() {
+        let mut m = Mlp::new(MlpConfig::heimdall(2), 26);
+        let mut st = OptState::new(&m.layers);
+        st.t = i32::MAX as u64 + 5;
+        let gw: Vec<Vec<f32>> = m.layers.iter().map(|l| vec![0.5; l.w.len()]).collect();
+        let gb: Vec<Vec<f32>> = m.layers.iter().map(|l| vec![0.5; l.b.len()]).collect();
+        let before = m.flat_params();
+        m.apply_update(&TrainOpts::default(), 1.0, &gw, &gb, &[0.0; 3], &mut st);
+        let after = m.flat_params();
+        assert!(after.iter().all(|p| p.is_finite()));
+        // A first Adam step on a positive gradient lowers every parameter;
+        // with a wrapped (negative) exponent the step would be zero.
+        assert!(before.iter().zip(&after).all(|(b, a)| a < b));
     }
 
     #[test]

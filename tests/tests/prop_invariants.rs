@@ -12,7 +12,7 @@
 //! parallel sweeps, model-zoo batched prediction, columnar featurization,
 //! history ring, the decision kernel's i32 pass) and law-based where it models physics or math (replay
 //! read conservation, fault-window causality, validation classification,
-//! tied-rank ROC AUC).
+//! tied-rank ROC AUC, the training flush below the quantizer's sight).
 
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
@@ -1110,5 +1110,78 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
         "one-sided run: {} hits, {} declines",
         hits.get(),
         declines.get()
+    );
+}
+
+/// Property 17: The training-side flush is invisible to a deployment. Zeroing
+/// every parameter with `|p| < 2⁻⁶³` (what `Mlp::train` stores as `+0.0`)
+/// leaves [`QuantizedMlp::quantize_paper`] bit-identical and moves f32
+/// `predict` by less than 1e-12 on inputs in `[0, 1)` — over nets whose
+/// parameters were replaced at random by magnitudes from zero through the
+/// subnormals up to just past the threshold (so values that must survive are
+/// planted too), with the rest amplified or sign-flipped.
+#[test]
+fn prop_flushing_tiny_parameters_is_invisible_to_quantizer_and_predict() {
+    const FLUSH: f32 = 1.0 / (1u64 << 63) as f32;
+    let strat = tuple3(
+        u64_in(0..=1 << 40),
+        u64_in(0..=3),
+        tuple2(u64_in(0..=1 << 40), usize_in(1..=24)),
+    );
+    check(
+        "prop_flushing_tiny_parameters_is_invisible_to_quantizer_and_predict",
+        &Config::seeded(0x11),
+        &strat,
+        |&(model_seed, amp_idx, (stream_seed, rows))| {
+            let amp = [1.0f32, -1.0, 4.0, 16.0][amp_idx as usize];
+            let (mut mlp, _) = random_model(model_seed);
+            let mut rng = Rng64::new(model_seed ^ 0x666c_7573);
+            // Bit patterns below 0x2000_0000 are exactly the non-negative
+            // floats below 2^-63; the extra 2^19 reach 2^-63 * (1 + 1/16).
+            mlp.map_params(|p| {
+                if rng.chance(0.3) {
+                    let tiny = f32::from_bits(rng.below(0x2008_0000) as u32);
+                    if rng.chance(0.5) {
+                        -tiny
+                    } else {
+                        tiny
+                    }
+                } else {
+                    p * amp
+                }
+            });
+            let mut flushed = mlp.clone();
+            let mut zeroed = 0u32;
+            flushed.map_params(|p| {
+                if p != 0.0 && p.abs() < FLUSH {
+                    zeroed += 1;
+                    0.0
+                } else {
+                    p
+                }
+            });
+            if zeroed == 0 {
+                return Err("no parameter was planted below the threshold".into());
+            }
+            let (q, qf) = (
+                QuantizedMlp::quantize_paper(&mlp),
+                QuantizedMlp::quantize_paper(&flushed),
+            );
+            if format!("{q:?}") != format!("{qf:?}") {
+                return Err(format!(
+                    "quantized model changed ({zeroed} zeroed, amp {amp})"
+                ));
+            }
+            let dim = mlp.config().input_dim;
+            let mut srng = Rng64::new(stream_seed);
+            for r in 0..rows {
+                let row: Vec<f32> = (0..dim).map(|_| srng.f32()).collect();
+                let (a, b) = (mlp.predict(&row) as f64, flushed.predict(&row) as f64);
+                if (a - b).abs() >= 1e-12 {
+                    return Err(format!("row {r}: predict {a} vs {b} (amp {amp})"));
+                }
+            }
+            Ok(())
+        },
     );
 }
