@@ -7,6 +7,15 @@
 //! for the tuner, `us_per_row` for `Mlp::train`) is the number to watch;
 //! the speedup against each reference is a derived column, and it moves
 //! whenever a shared routine makes both sides faster.
+//!
+//! The backprop lane also splits `Mlp::train` into its phases. The timers
+//! live here, not in the library: this target compiles `nn/src/mlp.rs` into
+//! itself as [`mlp`] to reach the crate-private `Mlp::train_with`, whose
+//! callback fires as each phase of a batch ends. The three minibatch kernels
+//! are `#[inline(never)]` and compile to the same machine code in both
+//! copies; the code around them (gather, loss, optimizer step) is compiled
+//! here, where the optimizer step has measured well above the library's, so
+//! read `phase_ms` as the split and `us_per_row` as the cost.
 
 use heimdall_bench::report::RunReport;
 use heimdall_bench::timing::Group;
@@ -18,12 +27,59 @@ use heimdall_core::labeling::{
     tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
 };
 use heimdall_core::{collect, IoRecord, ReadView};
+// `mlp.rs` names its siblings as `crate::activation` and `crate::data`.
+use heimdall_nn::{activation, data};
 use heimdall_nn::{Dataset, Mlp, MlpConfig, TrainOpts};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
 use std::hint::black_box;
 use std::time::Instant;
+
+#[path = "../../nn/src/mlp.rs"]
+#[allow(dead_code)]
+mod mlp;
+
+/// The phases `Mlp::train_with` reports, in the order of the JSON columns.
+const PHASES: [&str; 4] = ["forward", "delta", "gradient", "update"];
+
+/// Milliseconds one `Mlp::train` spends in each of [`PHASES`] (forward
+/// includes the batch gather, delta the loss): one `Instant` pair per phase
+/// per batch, the median of `reps` runs per phase.
+fn phase_ms(data: &Dataset, reps: usize) -> [f64; 4] {
+    let opts = mlp::TrainOpts {
+        epochs: bench_opts().epochs,
+        ..mlp::TrainOpts::default()
+    };
+    let mut shipped = Mlp::new(MlpConfig::heimdall(data.dim), 5);
+    shipped.train(data, &bench_opts());
+    let mut runs = vec![[0.0f64; 4]; reps];
+    for run in &mut runs {
+        let mut model = mlp::Mlp::new(mlp::MlpConfig::heimdall(data.dim), 5);
+        let mut last = Instant::now();
+        model.train_with(data, &opts, |phase| {
+            let now = Instant::now();
+            let slot = PHASES
+                .iter()
+                .position(|&p| p == phase)
+                .expect("known phase");
+            run[slot] += (now - last).as_secs_f64() * 1e3;
+            last = now;
+        });
+        assert_eq!(
+            model.flat_params(),
+            shipped.flat_params(),
+            "the bench's copy of mlp.rs trained a different model than the library"
+        );
+    }
+    std::array::from_fn(|p| median(runs.iter().map(|run| run[p]).collect()))
+}
+
+/// Upper median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    values[values.len() / 2]
+}
 
 fn reads(secs: u64) -> Vec<IoRecord> {
     let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
@@ -96,15 +152,12 @@ fn joint_stage_optimized(view: &ReadView<'_>, widths: &[usize], opts: &TrainOpts
 
 /// Wall-clock of `f`, median of `reps` runs, in seconds.
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    let times = (0..reps).map(|_| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    });
+    median(times.collect())
 }
 
 fn main() {
@@ -136,6 +189,10 @@ fn main() {
         opts.epochs,
         reference_ns / batched_ns
     );
+    let phases = phase_ms(&data, 5);
+    for (name, ms) in PHASES.iter().zip(phases) {
+        println!("  backprop/{name:<38} {ms:>9.1} ms");
+    }
 
     // --- (b) threshold tuner: precomputed scratch vs rebuild-per-eval.
     let g = Group::new("tuner").sample_size(7);
@@ -164,6 +221,15 @@ fn main() {
         ("rows", Json::from(data.rows() as u64)),
         ("epochs", Json::from(opts.epochs as u64)),
         ("us_per_row", Json::from(train_us_per_row)),
+        (
+            "phase_ms",
+            Json::obj(
+                PHASES
+                    .iter()
+                    .zip(phases)
+                    .map(|(&p, ms)| (p, Json::from(ms))),
+            ),
+        ),
         ("batched_ns", Json::from(batched_ns)),
         ("reference_ns", Json::from(reference_ns)),
         ("speedup", Json::from(reference_ns / batched_ns)),

@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn pearson_iter_is_bitwise_pearson() {
-        let mut state = 0x5ee_du64;
+        let mut state = 0x5eed_u64;
         let xs: Vec<f64> = (0..113)
             .map(|_| {
                 state = state
