@@ -55,7 +55,8 @@ pub fn profile_homed_batches(
 ///
 /// # Errors
 ///
-/// Propagates the first device's [`PipelineError`].
+/// Propagates the first [`PipelineError`] that is not "this device's log
+/// cannot train" (those devices get an always-admit model).
 pub fn train_homed(
     requests: &[HomedRequest],
     cfgs: &[DeviceConfig],
@@ -74,6 +75,7 @@ pub fn train_homed(
                 Err(
                     PipelineError::NoRecords | PipelineError::NoRows | PipelineError::EmptySplit,
                 ) => Ok(Trained::always_admit(pipeline)),
+                Err(e @ PipelineError::ZeroWindow) => Err(e),
             },
         )
         .collect()

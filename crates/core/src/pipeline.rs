@@ -138,6 +138,10 @@ pub enum PipelineError {
     NoRows,
     /// A split side ended up empty.
     EmptySplit,
+    /// A monitoring window of zero width (see
+    /// [`RetrainConfig`](crate::retrain::RetrainConfig)): the window walk
+    /// could never advance.
+    ZeroWindow,
 }
 
 impl std::fmt::Display for PipelineError {
@@ -146,6 +150,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::NoRecords => write!(f, "no input records"),
             PipelineError::NoRows => write!(f, "feature extraction produced no rows"),
             PipelineError::EmptySplit => write!(f, "train/test split produced an empty side"),
+            PipelineError::ZeroWindow => write!(f, "check interval and report window must be > 0"),
         }
     }
 }

@@ -76,6 +76,14 @@ impl RetrainReport {
     }
 }
 
+/// Rejects a configuration whose window walk could never advance.
+fn check_windows(cfg: &RetrainConfig) -> Result<(), PipelineError> {
+    if cfg.check_interval_us == 0 || cfg.report_window_us == 0 {
+        return Err(PipelineError::ZeroWindow);
+    }
+    Ok(())
+}
+
 /// The labeling configuration the accuracy monitor scores against:
 /// freshly tuned period labels over the raw window, no noise filtering.
 fn monitor_label_cfg(cfg: &RetrainConfig) -> PipelineConfig {
@@ -128,13 +136,15 @@ fn window_accuracy(
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] from the initial training run.
+/// [`PipelineError::ZeroWindow`] on a zero check interval or report window;
+/// otherwise propagates [`PipelineError`] from the initial training run.
 pub fn evaluate_static(
     records: &[IoRecord],
     initial_train_us: u64,
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
+    check_windows(cfg)?;
     let start = records.first().map_or(0, |r| r.arrival_us);
     let train_slice: Vec<IoRecord> = records
         .iter()
@@ -160,12 +170,13 @@ pub fn evaluate_static(
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] from the initial training run.
+/// As [`evaluate_static`].
 pub fn evaluate_retraining(
     records: &[IoRecord],
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
+    check_windows(cfg)?;
     let start = records.first().map_or(0, |r| r.arrival_us);
     let initial: Vec<IoRecord> = records
         .iter()
@@ -221,7 +232,7 @@ pub fn evaluate_retraining(
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] from the initial training run.
+/// As [`evaluate_static`].
 pub fn evaluate_drift_retraining(
     records: &[IoRecord],
     cfg: &RetrainConfig,
@@ -230,6 +241,7 @@ pub fn evaluate_drift_retraining(
     use crate::drift::DriftDetector;
     use crate::features::FeatureSpec;
 
+    check_windows(cfg)?;
     let start = records.first().map_or(0, |r| r.arrival_us);
     let initial: Vec<IoRecord> = records
         .iter()
@@ -407,6 +419,29 @@ mod tests {
         let mut counted = 0;
         each_window(&records, 7_000_000, |_, w| counted += w.len());
         assert_eq!(counted, records.len());
+    }
+
+    #[test]
+    fn zero_width_windows_are_a_typed_error() {
+        // The walk used to spin forever on `end += 0`.
+        let records = long_records(5);
+        for (check, report) in [(0, 20_000_000), (5_000_000, 0)] {
+            let cfg = RetrainConfig {
+                check_interval_us: check,
+                report_window_us: report,
+                ..quick_cfg()
+            };
+            let zero = Err(PipelineError::ZeroWindow);
+            assert_eq!(
+                evaluate_static(&records, 1_000_000, &cfg, None).map(|_| ()),
+                zero
+            );
+            assert_eq!(evaluate_retraining(&records, &cfg, None).map(|_| ()), zero);
+            assert_eq!(
+                evaluate_drift_retraining(&records, &cfg, None).map(|_| ()),
+                zero
+            );
+        }
     }
 
     #[test]
