@@ -19,7 +19,7 @@
 //! Usage: `cargo bench --bench featurize [-- --seed K --secs S]`
 
 use heimdall_bench::{Args, Json, RunReport};
-use heimdall_core::collect::{collect, reads_only};
+use heimdall_core::collect::{collect_batch, read_indices};
 use heimdall_core::features::{build_dataset_reference, build_dataset_view, FeatureSpec};
 use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
 use heimdall_core::ReadView;
@@ -66,9 +66,14 @@ fn main() {
     let mut dev_cfg = DeviceConfig::consumer_nvme();
     dev_cfg.free_pool = 1 << 30;
     let mut dev = SsdDevice::new(dev_cfg, seed ^ 1);
-    let records = collect(&trace, &mut dev);
-    let reads = reads_only(&records);
-    let view = ReadView::from(&reads);
+    let batch = collect_batch(&trace, &mut dev);
+    let idx = read_indices(&batch);
+    let view = ReadView::Indexed {
+        batch: &batch,
+        idx: &idx,
+    };
+    // Row form of the same reads, for the reference builder only.
+    let reads: Vec<_> = idx.iter().map(|&i| batch.get(i as usize)).collect();
     let th = tune_thresholds_view(&view);
     let labels = period_label_view(&view, &th);
     let keep = vec![true; reads.len()];

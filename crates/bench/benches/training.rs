@@ -26,7 +26,7 @@ use heimdall_core::labeling::{
     period_label_view, period_label_with_view, tune_thresholds_reference, tune_thresholds_view,
     tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
 };
-use heimdall_core::{collect, IoRecord, ReadView};
+use heimdall_core::{collect_batch, read_indices, ReadView, RecordBatch};
 // `mlp.rs` names its siblings as `crate::activation` and `crate::data`.
 use heimdall_nn::{activation, data};
 use heimdall_nn::{Dataset, Mlp, MlpConfig, TrainOpts};
@@ -81,7 +81,7 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-fn reads(secs: u64) -> Vec<IoRecord> {
+fn log(secs: u64) -> RecordBatch {
     let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
         .seed(21)
         .duration_secs(secs)
@@ -89,10 +89,7 @@ fn reads(secs: u64) -> Vec<IoRecord> {
     let mut cfg = DeviceConfig::consumer_nvme();
     cfg.free_pool = 1 << 30;
     let mut dev = SsdDevice::new(cfg, 22);
-    collect(&trace, &mut dev)
-        .into_iter()
-        .filter(IoRecord::is_read)
-        .collect()
+    collect_batch(&trace, &mut dev)
 }
 
 /// A realistic training set: tuned labels, filtered, Heimdall features.
@@ -121,13 +118,12 @@ fn build_width(view: &ReadView<'_>, labels: &[bool], keep: &[bool], p: usize) ->
 
 /// The pre-optimization fig15 train stage: every width re-runs the
 /// rebuild-per-evaluation tuner and trains sample-at-a-time.
-fn joint_stage_reference(reads: &[IoRecord], widths: &[usize], opts: &TrainOpts) {
-    let view = ReadView::from(reads);
+fn joint_stage_reference(view: &ReadView<'_>, widths: &[usize], opts: &TrainOpts) {
     for &p in widths {
-        let th = tune_thresholds_reference(reads);
-        let labels = period_label_view(&view, &th);
-        let (keep, _) = filter_view(&view, &labels, &FilterConfig::default());
-        let data = build_width(&view, &labels, &keep, p);
+        let th = tune_thresholds_reference(view);
+        let labels = period_label_view(view, &th);
+        let (keep, _) = filter_view(view, &labels, &FilterConfig::default());
+        let data = build_width(view, &labels, &keep, p);
         let mut mlp = Mlp::new(MlpConfig::heimdall(data.dim), 5);
         mlp.train_reference(&data, opts);
         black_box(mlp);
@@ -161,11 +157,15 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let reads = reads(12);
-    let view = ReadView::from(&reads);
+    let batch = log(12);
+    let idx = read_indices(&batch);
+    let view = ReadView::Indexed {
+        batch: &batch,
+        idx: &idx,
+    };
     let opts = bench_opts();
     let mut report = RunReport::new("training", 1);
-    report.set("records", Json::from(reads.len() as u64));
+    report.set("records", Json::from(view.len() as u64));
 
     // --- (a) backprop: batched kernel vs per-sample reference.
     let data = training_set(&view);
@@ -198,9 +198,9 @@ fn main() {
     let g = Group::new("tuner").sample_size(7);
     let tuner_ns = g.bench("tune_thresholds", || tune_thresholds_view(black_box(&view)));
     let tuner_ref_ns = g.bench("tune_thresholds_reference", || {
-        tune_thresholds_reference(black_box(&reads))
+        tune_thresholds_reference(black_box(&view))
     });
-    let tuner_ns_per_read = tuner_ns / reads.len() as f64;
+    let tuner_ns_per_read = tuner_ns / view.len() as f64;
     println!(
         "  tuner: {tuner_ns_per_read:.1} ns/read, speedup {:.2}x",
         tuner_ref_ns / tuner_ns
@@ -209,7 +209,7 @@ fn main() {
     // --- (c) fig15-style joint sweep, tuner + training combined.
     let widths = [1usize, 3, 5];
     let optimized_s = median_secs(3, || joint_stage_optimized(&view, &widths, &opts));
-    let reference_s = median_secs(3, || joint_stage_reference(&reads, &widths, &opts));
+    let reference_s = median_secs(3, || joint_stage_reference(&view, &widths, &opts));
     let joint_speedup = reference_s / optimized_s;
     println!("group: joint_train_stage");
     println!("  joint_train_stage/optimized              {optimized_s:>9.3} s");

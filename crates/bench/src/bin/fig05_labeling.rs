@@ -14,25 +14,20 @@ use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{
     cutoff_label_view, labeling_accuracy_view, period_label_view, tune_thresholds_view,
 };
-use heimdall_core::pipeline::{run, LabelingMode, PipelineConfig};
-use heimdall_core::{IoRecord, ReadView};
+use heimdall_core::pipeline::{run_batch, run_view, LabelingMode, PipelineConfig};
+use heimdall_core::{read_indices, ReadView, RecordBatch};
 use heimdall_metrics::ConfusionMatrix;
 
 /// Ground-truth AUC-style score of a trained model's decisions.
-fn truth_decision_accuracy(trained: &heimdall_core::Trained, records: &[IoRecord]) -> Option<f64> {
-    let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    let truth: Vec<bool> = reads.iter().map(|r| r.truth_busy).collect();
+fn truth_decision_accuracy(trained: &heimdall_core::Trained, batch: &RecordBatch) -> Option<f64> {
+    let idx = read_indices(batch);
+    let truth: Vec<bool> = idx.iter().map(|&i| batch.truth_busy(i as usize)).collect();
     if !truth.iter().any(|&t| t) {
         return None;
     }
-    let keep = vec![true; reads.len()];
-    let (data, _) = build_dataset_view(
-        &ReadView::from(&reads),
-        &truth,
-        &keep,
-        &FeatureSpec::heimdall(),
-        1,
-    );
+    let keep = vec![true; idx.len()];
+    let view = ReadView::Indexed { batch, idx: &idx };
+    let (data, _) = build_dataset_view(&view, &truth, &keep, &FeatureSpec::heimdall(), 1);
     let (_, test) = data.split(0.5);
     if test.is_empty() {
         return None;
@@ -54,12 +49,12 @@ fn main() {
     let mut model_auc = [0.0f64; 2];
     let mut n_label = 0usize;
     let mut n_model = 0usize;
-    for records in &pool {
-        let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-        if !reads.iter().any(|r| r.truth_busy) {
+    for batch in &pool {
+        let idx = read_indices(batch);
+        if !idx.iter().any(|&i| batch.truth_busy(i as usize)) {
             continue;
         }
-        let view = ReadView::from(&reads);
+        let view = ReadView::Indexed { batch, idx: &idx };
         let cutoff = cutoff_label_view(&view);
         let th = tune_thresholds_view(&view);
         let period = period_label_view(&view, &th);
@@ -69,12 +64,12 @@ fn main() {
 
         let mut cutoff_cfg = PipelineConfig::heimdall();
         cutoff_cfg.labeling = LabelingMode::Cutoff;
-        let cutoff_model = run(records, &cutoff_cfg).ok();
-        let period_model = run(records, &PipelineConfig::heimdall()).ok();
+        let cutoff_model = run_batch(batch, &cutoff_cfg).ok();
+        let period_model = run_batch(batch, &PipelineConfig::heimdall()).ok();
         if let (Some((cm, _)), Some((pm, _))) = (cutoff_model, period_model) {
             if let (Some(ca), Some(pa)) = (
-                truth_decision_accuracy(&cm, records),
-                truth_decision_accuracy(&pm, records),
+                truth_decision_accuracy(&cm, batch),
+                truth_decision_accuracy(&pm, batch),
             ) {
                 model_auc[0] += ca;
                 model_auc[1] += pa;
@@ -117,12 +112,12 @@ fn main() {
         let mut mispredict = 0.0;
         let mut removed = 0usize;
         let mut n = 0usize;
-        for records in &pool {
-            let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-            if reads.len() < 1000 {
+        for batch in &pool {
+            let idx = read_indices(batch);
+            if idx.len() < 1000 {
                 continue;
             }
-            let view = ReadView::from(&reads);
+            let view = ReadView::Indexed { batch, idx: &idx };
             let th = tune_thresholds_view(&view);
             let labels = period_label_view(&view, &th);
             let mut cfg = FilterConfig {
@@ -138,13 +133,13 @@ fn main() {
             // flags as noise (they should be the hardest to predict).
             let mut pcfg = PipelineConfig::heimdall();
             pcfg.filtering = None;
-            let Ok((model, _)) = run(&reads, &pcfg) else {
+            let Ok((model, _)) = run_view(&view, &pcfg, None) else {
                 continue;
             };
             let (data, src) = build_dataset_view(
                 &view,
                 &labels,
-                &vec![true; reads.len()],
+                &vec![true; idx.len()],
                 &FeatureSpec::heimdall(),
                 1,
             );

@@ -9,15 +9,15 @@
 
 use heimdall_bench::{print_header, print_row, record_pool, Args};
 use heimdall_core::features::{build_dataset_view, feature_correlations, Feature, FeatureSpec};
-use heimdall_core::pipeline::{run, FeatureMode, PipelineConfig};
-use heimdall_core::{IoRecord, ReadView};
+use heimdall_core::pipeline::{run_batch, FeatureMode, PipelineConfig};
+use heimdall_core::{read_indices, ReadView, RecordBatch};
 use heimdall_nn::ScalerKind;
 
-fn mean_auc(pool: &[Vec<IoRecord>], cfg: &PipelineConfig) -> (f64, usize) {
+fn mean_auc(pool: &[RecordBatch], cfg: &PipelineConfig) -> (f64, usize) {
     let mut sum = 0.0;
     let mut n = 0;
-    for records in pool {
-        if let Ok((_, report)) = run(records, cfg) {
+    for batch in pool {
+        if let Ok((_, report)) = run_batch(batch, cfg) {
             if report.slow_fraction > 0.0 {
                 sum += report.metrics.roc_auc;
                 n += 1;
@@ -41,15 +41,15 @@ fn main() {
     // by spec column so ties sort deterministically in spec order.
     let tags: Vec<String> = spec.columns.iter().map(|f| f.tag().into_owned()).collect();
     let mut corr_sum: Vec<(f64, usize)> = vec![(0.0, 0); spec.columns.len()];
-    for records in &pool {
-        let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-        let view = ReadView::from(&reads);
+    for batch in &pool {
+        let idx = read_indices(batch);
+        let view = ReadView::Indexed { batch, idx: &idx };
         let th = heimdall_core::labeling::tune_thresholds_view(&view);
         let labels = heimdall_core::labeling::period_label_view(&view, &th);
         if !labels.iter().any(|&l| l) {
             continue;
         }
-        let (data, _) = build_dataset_view(&view, &labels, &vec![true; reads.len()], &spec, 1);
+        let (data, _) = build_dataset_view(&view, &labels, &vec![true; idx.len()], &spec, 1);
         for (f, c) in feature_correlations(&data, &spec) {
             let i = spec
                 .columns

@@ -17,7 +17,7 @@ use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
 use heimdall_core::features::{build_dataset_view, FeatureSpec};
 use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
-use heimdall_core::{IoRecord, ReadView};
+use heimdall_core::{read_indices, ReadView, RecordBatch};
 use heimdall_metrics::stats::{mean, std_dev};
 use heimdall_models::{
     AdaBoost, Classifier, GradientBoosting, KNearestNeighbors, LogisticRegression, MlpWrapper,
@@ -26,9 +26,9 @@ use heimdall_models::{
 use heimdall_nn::{Dataset, Scaler, ScalerKind};
 
 /// Builds the scaled Heimdall-feature train/test split for one record set.
-fn prepare(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
-    let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    let view = ReadView::from(&reads);
+fn prepare(batch: &RecordBatch) -> Option<(Dataset, Dataset)> {
+    let idx = read_indices(batch);
+    let view = ReadView::Indexed { batch, idx: &idx };
     let th = tune_thresholds_view(&view);
     let labels = period_label_view(&view, &th);
     if !labels.iter().any(|&l| l) {
@@ -56,7 +56,7 @@ fn main() {
     let seed = args.get_u64("seed", 33);
     let pool = record_pool(datasets, secs, seed, args.jobs());
 
-    let splits: Vec<(Dataset, Dataset)> = pool.iter().filter_map(|r| prepare(r)).collect();
+    let splits: Vec<(Dataset, Dataset)> = pool.iter().filter_map(prepare).collect();
     eprintln!("{} of {} datasets usable", splits.len(), pool.len());
 
     // Fig 8's eight families. The RNN consumes the 3-step history as a

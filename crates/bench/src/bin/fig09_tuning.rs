@@ -8,17 +8,17 @@
 //! Usage: `fig09_tuning [--datasets N] [--secs S] [--seed K] [--jobs J]`
 
 use heimdall_bench::{print_header, print_row, record_pool, Args};
-use heimdall_core::pipeline::{run, ModelArch, PipelineConfig};
-use heimdall_core::IoRecord;
+use heimdall_core::pipeline::{run_batch, ModelArch, PipelineConfig};
+use heimdall_core::RecordBatch;
 use heimdall_nn::{Activation, MlpConfig, OutputLayer};
 
-fn mean_auc(pool: &[Vec<IoRecord>], arch: MlpConfig) -> f64 {
+fn mean_auc(pool: &[RecordBatch], arch: MlpConfig) -> f64 {
     let mut sum = 0.0;
     let mut n = 0;
-    for records in pool {
+    for batch in pool {
         let mut cfg = PipelineConfig::heimdall();
         cfg.arch = ModelArch::Custom(arch.clone());
-        if let Ok((_, report)) = run(records, &cfg) {
+        if let Ok((_, report)) = run_batch(batch, &cfg) {
             if report.slow_fraction > 0.0 {
                 sum += report.metrics.roc_auc;
                 n += 1;

@@ -17,7 +17,7 @@
 use heimdall_bench::{fmt_us, print_header, print_row, run_ordered, Args};
 use heimdall_cluster::wide::{run_wide, WideConfig, WidePolicy, WideResult};
 use heimdall_core::pipeline::{run_view, PipelineConfig, Trained};
-use heimdall_core::{IoRecord, ReadView, StageCache};
+use heimdall_core::{ReadView, RecordBatch, StageCache};
 use heimdall_ssd::SsdDevice;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, PAGE_SIZE};
@@ -32,7 +32,7 @@ fn train_osd_models(cfg: &WideConfig, cache: &StageCache) -> Vec<Trained> {
     (0..n)
         .map(|osd| {
             let mut dev = SsdDevice::new(cfg.device.clone(), cfg.seed + osd as u64);
-            let mut log: Vec<IoRecord> = Vec::new();
+            let mut log = RecordBatch::new();
             let mut t = 0u64;
             let sizes = [PAGE_SIZE, 16 * 1024, 64 * 1024, 256 * 1024];
             let mut id = 0u64;

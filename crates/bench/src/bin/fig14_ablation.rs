@@ -17,7 +17,7 @@
 
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
 use heimdall_core::pipeline::{run_view, FeatureMode, LabelingMode, ModelArch, PipelineConfig};
-use heimdall_core::{IoRecord, ReadView, StageCache};
+use heimdall_core::{ReadView, RecordBatch, StageCache};
 use heimdall_metrics::MetricReport;
 use heimdall_nn::ScalerKind;
 
@@ -87,7 +87,7 @@ fn main() {
     // steps — share the tuned labels through one cache for the whole grid.
     let cache = StageCache::new();
     // Keep only datasets with learnable contention under the final config.
-    let usable_mask = run_ordered(jobs, pool.iter().collect(), |r: &&Vec<IoRecord>| {
+    let usable_mask = run_ordered(jobs, pool.iter().collect(), |r: &&RecordBatch| {
         run_view(
             &ReadView::from(*r),
             &PipelineConfig::heimdall(),
@@ -96,7 +96,7 @@ fn main() {
         .map(|(_, rep)| rep.slow_fraction > 0.001)
         .unwrap_or(false)
     });
-    let usable: Vec<&Vec<IoRecord>> = pool
+    let usable: Vec<&RecordBatch> = pool
         .iter()
         .zip(&usable_mask)
         .filter(|&(_, &u)| u)

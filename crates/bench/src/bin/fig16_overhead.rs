@@ -10,7 +10,7 @@
 //! Usage: `fig16_overhead [--secs S] [--seed K]`
 
 use heimdall_bench::{collect_records, print_header, print_row, Args};
-use heimdall_core::pipeline::{run, PipelineConfig};
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
 use heimdall_nn::{Mlp, MlpConfig, QuantizedMlp};
 use heimdall_ssd::DeviceConfig;
 use heimdall_trace::gen::TraceBuilder;
@@ -117,7 +117,7 @@ fn main() {
         &DeviceConfig::consumer_nvme(),
         seed,
     );
-    let (_, report) = run(&records, &PipelineConfig::heimdall()).expect("trainable trace");
+    let (_, report) = run_batch(&records, &PipelineConfig::heimdall()).expect("trainable trace");
     let total = report.train_rows + report.test_rows;
     let per_million = 1e6 / total.max(1) as f64;
     print_row("stage", &["this trace".into(), "per 1M I/Os".into()]);

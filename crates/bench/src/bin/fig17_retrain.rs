@@ -18,7 +18,7 @@ use heimdall_bench::{print_header, print_row, run_ordered, Args};
 use heimdall_core::retrain::{
     evaluate_drift_retraining, evaluate_retraining, evaluate_static, RetrainConfig,
 };
-use heimdall_core::{collect, PipelineConfig, StageCache};
+use heimdall_core::{collect_batch, PipelineConfig, StageCache};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
@@ -71,7 +71,7 @@ fn main() {
     }
     let trace = heimdall_trace::Trace::new("drifting", requests);
     let mut dev = SsdDevice::new(DeviceConfig::consumer_nvme(), seed ^ 1);
-    let records = collect(&trace, &mut dev);
+    let records = collect_batch(&trace, &mut dev);
     eprintln!("{} records collected", records.len());
 
     // Scale the paper's 8-hour timeline onto the requested duration:

@@ -18,7 +18,7 @@ use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
 use heimdall_core::features::{build_dataset_view, FeatureSpec};
 use heimdall_core::labeling::cutoff_label_view;
 use heimdall_core::pipeline::{run_view, PipelineConfig};
-use heimdall_core::{Feature, IoRecord, ReadView, StageCache};
+use heimdall_core::{read_indices, Feature, ReadView, RecordBatch, StageCache};
 use heimdall_metrics::stats::{cosine_similarity, mean};
 use heimdall_models::automl::Family;
 use heimdall_nn::Dataset;
@@ -28,9 +28,9 @@ use std::time::Instant;
 /// The "raw" dataset AutoML gets: basic trace features only (arrival time,
 /// size, queue length, last latency) with cutoff labels — no Heimdall
 /// feature engineering (§8.2: "without the manual feature engineering").
-fn raw_dataset(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
-    let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-    let view = ReadView::from(&reads);
+fn raw_dataset(batch: &RecordBatch) -> Option<(Dataset, Dataset)> {
+    let idx = read_indices(batch);
+    let view = ReadView::Indexed { batch, idx: &idx };
     let labels = cutoff_label_view(&view);
     if !labels.iter().any(|&l| l) {
         return None;
@@ -44,7 +44,7 @@ fn raw_dataset(records: &[IoRecord]) -> Option<(Dataset, Dataset)> {
         ],
         hist_depth: 1,
     };
-    let (data, _) = build_dataset_view(&view, &labels, &vec![true; reads.len()], &spec, 1);
+    let (data, _) = build_dataset_view(&view, &labels, &vec![true; idx.len()], &spec, 1);
     let (train, test) = data.split(0.5);
     if train.is_empty() || test.is_empty() || test.positive_rate() == 0.0 {
         return None;
@@ -61,7 +61,7 @@ fn main() {
 
     let jobs = args.jobs();
     let pool = record_pool(datasets, secs, seed, jobs);
-    let splits: Vec<(Dataset, Dataset)> = pool.iter().filter_map(|r| raw_dataset(r)).collect();
+    let splits: Vec<(Dataset, Dataset)> = pool.iter().filter_map(raw_dataset).collect();
     eprintln!("{} of {} datasets usable", splits.len(), pool.len());
 
     // Every (dataset, family) cell runs its candidate search independently
@@ -122,7 +122,7 @@ fn main() {
     // of this pass (or future per-variant sweeps) label each dataset once.
     let cache = StageCache::new();
     let cache = &cache;
-    let heimdall_auc: Vec<f64> = run_ordered(jobs, pool.iter().collect(), |r: &&Vec<IoRecord>| {
+    let heimdall_auc: Vec<f64> = run_ordered(jobs, pool.iter().collect(), |r: &&RecordBatch| {
         run_view(
             &ReadView::from(*r),
             &PipelineConfig::heimdall(),

@@ -371,13 +371,13 @@ pub fn collect_records(
     secs: u64,
     device: &DeviceConfig,
     seed: u64,
-) -> Vec<heimdall_core::IoRecord> {
+) -> heimdall_core::RecordBatch {
     let trace = TraceBuilder::from_profile(profile)
         .seed(seed)
         .duration_secs(secs)
         .build();
     let mut dev = heimdall_ssd::SsdDevice::new(device.clone(), seed ^ 0x5555);
-    heimdall_core::collect(&trace, &mut dev)
+    heimdall_core::collect_batch(&trace, &mut dev)
 }
 
 /// A pool of record streams spanning profiles and seeds (the "random
@@ -391,7 +391,7 @@ pub fn record_pool(
     secs: u64,
     seed: u64,
     jobs: usize,
-) -> Vec<Vec<heimdall_core::IoRecord>> {
+) -> Vec<heimdall_core::RecordBatch> {
     let mut rng = Rng64::new(seed ^ 0x7265_6373);
     let params: Vec<(WorkloadProfile, DeviceConfig, u64)> = (0..count)
         .map(|_| {

@@ -15,9 +15,8 @@ use heimdall_trace::IoOp;
 /// Profiles a homed request stream with admission disabled (reads go to
 /// their home device, writes are replicated), returning each device's I/O
 /// log — what a storage operator would capture before enabling decisions
-/// (§2). Each log lands directly in a columnar [`RecordBatch`], which the
-/// pipeline consumes without ever materializing `Vec<IoRecord>` rows. An
-/// empty fleet yields no logs.
+/// (§2), one columnar [`RecordBatch`] per device. An empty fleet yields no
+/// logs.
 pub fn profile_homed_batches(
     requests: &[HomedRequest],
     cfgs: &[DeviceConfig],

@@ -167,17 +167,6 @@ impl RecordBatch {
 ///
 /// Requests are submitted open-loop at their trace arrival times, matching
 /// the paper's replayer (§6.1).
-pub fn collect(trace: &Trace, device: &mut SsdDevice) -> Vec<IoRecord> {
-    let mut out = Vec::with_capacity(trace.len());
-    for req in &trace.requests {
-        out.push(submit_one(req, device));
-    }
-    out
-}
-
-/// Replays a trace into a device and logs every completed I/O straight
-/// into columnar form — same device interaction (and therefore the same
-/// rng stream) as [`collect`], no row-struct intermediate.
 pub fn collect_batch(trace: &Trace, device: &mut SsdDevice) -> RecordBatch {
     let mut batch = RecordBatch::with_capacity(trace.len());
     for req in &trace.requests {
@@ -201,14 +190,9 @@ pub fn submit_one(req: &IoRequest, device: &mut SsdDevice) -> IoRecord {
     }
 }
 
-/// Read-only records (labeling and training operate on reads, §2).
-pub fn reads_only(records: &[IoRecord]) -> Vec<IoRecord> {
-    records.iter().copied().filter(IoRecord::is_read).collect()
-}
-
-/// Indices of the read records in a batch — the index-view counterpart of
-/// [`reads_only`]: labeling/filtering walk the batch through these indices
-/// instead of paying a full record-log clone on write-heavy traces.
+/// Indices of the read records in a batch (labeling and training operate
+/// on reads, §2): stages walk the batch through these indices as a
+/// [`ReadView::Indexed`] instead of copying the reads out.
 pub fn read_indices(batch: &RecordBatch) -> Vec<u32> {
     debug_assert!(
         batch.len() <= u32::MAX as usize,
@@ -219,15 +203,13 @@ pub fn read_indices(batch: &RecordBatch) -> Vec<u32> {
         .collect()
 }
 
-/// A borrowed, uniformly-indexed view over a record log: either a
-/// row-form slice or a (batch, index-list) pair. Pipeline-stage internals
-/// (labeling, filtering, featurization) are written against this view, so
-/// the batch path never materializes `Vec<IoRecord>` sublogs and the
-/// slice path keeps its original field accesses.
+/// A borrowed, uniformly-indexed view over a record log: a whole batch or
+/// an index projection of one. Pipeline-stage internals (labeling,
+/// filtering, featurization) are written against this view, so read
+/// subsets, training slices and monitoring windows are index lists into
+/// the one log, never copies of it.
 #[derive(Debug, Clone, Copy)]
 pub enum ReadView<'a> {
-    /// Row-form records.
-    Slice(&'a [IoRecord]),
     /// Every record of a columnar batch.
     Batch(&'a RecordBatch),
     /// A subset of a batch, by record index (e.g. [`read_indices`]).
@@ -237,18 +219,6 @@ pub enum ReadView<'a> {
         /// Selected record indices, in order.
         idx: &'a [u32],
     },
-}
-
-impl<'a> From<&'a [IoRecord]> for ReadView<'a> {
-    fn from(records: &'a [IoRecord]) -> Self {
-        ReadView::Slice(records)
-    }
-}
-
-impl<'a> From<&'a Vec<IoRecord>> for ReadView<'a> {
-    fn from(records: &'a Vec<IoRecord>) -> Self {
-        ReadView::Slice(records)
-    }
 }
 
 impl<'a> From<&'a RecordBatch> for ReadView<'a> {
@@ -261,7 +231,6 @@ impl<'a> ReadView<'a> {
     /// Number of records in the view.
     pub fn len(&self) -> usize {
         match self {
-            ReadView::Slice(s) => s.len(),
             ReadView::Batch(b) => b.len(),
             ReadView::Indexed { idx, .. } => idx.len(),
         }
@@ -276,7 +245,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn arrival_us(&self, i: usize) -> u64 {
         match self {
-            ReadView::Slice(s) => s[i].arrival_us,
             ReadView::Batch(b) => b.arrival_us[i],
             ReadView::Indexed { batch, idx } => batch.arrival_us[idx[i] as usize],
         }
@@ -286,7 +254,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn finish_us(&self, i: usize) -> u64 {
         match self {
-            ReadView::Slice(s) => s[i].finish_us,
             ReadView::Batch(b) => b.finish_us[i],
             ReadView::Indexed { batch, idx } => batch.finish_us[idx[i] as usize],
         }
@@ -296,7 +263,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn size(&self, i: usize) -> u32 {
         match self {
-            ReadView::Slice(s) => s[i].size,
             ReadView::Batch(b) => b.size[i],
             ReadView::Indexed { batch, idx } => batch.size[idx[i] as usize],
         }
@@ -306,7 +272,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn queue_len(&self, i: usize) -> u32 {
         match self {
-            ReadView::Slice(s) => s[i].queue_len,
             ReadView::Batch(b) => b.queue_len[i],
             ReadView::Indexed { batch, idx } => batch.queue_len[idx[i] as usize],
         }
@@ -316,7 +281,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn latency_us(&self, i: usize) -> u64 {
         match self {
-            ReadView::Slice(s) => s[i].latency_us,
             ReadView::Batch(b) => b.latency_us[i],
             ReadView::Indexed { batch, idx } => batch.latency_us[idx[i] as usize],
         }
@@ -326,7 +290,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn throughput(&self, i: usize) -> f64 {
         match self {
-            ReadView::Slice(s) => s[i].throughput,
             ReadView::Batch(b) => b.throughput[i],
             ReadView::Indexed { batch, idx } => batch.throughput[idx[i] as usize],
         }
@@ -336,7 +299,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn is_read(&self, i: usize) -> bool {
         match self {
-            ReadView::Slice(s) => s[i].is_read(),
             ReadView::Batch(b) => b.is_read(i),
             ReadView::Indexed { batch, idx } => batch.is_read(idx[i] as usize),
         }
@@ -346,7 +308,6 @@ impl<'a> ReadView<'a> {
     #[inline]
     pub fn truth_busy(&self, i: usize) -> bool {
         match self {
-            ReadView::Slice(s) => s[i].truth_busy,
             ReadView::Batch(b) => b.truth_busy(i),
             ReadView::Indexed { batch, idx } => batch.truth_busy(idx[i] as usize),
         }
@@ -360,13 +321,13 @@ mod tests {
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::WorkloadProfile;
 
-    fn sample_records() -> Vec<IoRecord> {
+    fn sample_batch() -> RecordBatch {
         let trace = TraceBuilder::from_profile(WorkloadProfile::AlibabaLike)
             .seed(1)
             .duration_secs(3)
             .build();
         let mut dev = SsdDevice::new(DeviceConfig::datacenter_nvme(), 2);
-        collect(&trace, &mut dev)
+        collect_batch(&trace, &mut dev)
     }
 
     #[test]
@@ -376,13 +337,13 @@ mod tests {
             .duration_secs(2)
             .build();
         let mut dev = SsdDevice::new(DeviceConfig::datacenter_nvme(), 4);
-        let recs = collect(&trace, &mut dev);
-        assert_eq!(recs.len(), trace.len());
+        let batch = collect_batch(&trace, &mut dev);
+        assert_eq!(batch.len(), trace.len());
     }
 
     #[test]
     fn throughput_is_size_over_latency() {
-        for r in sample_records().iter().take(100) {
+        for r in sample_batch().to_records().iter().take(100) {
             let expect = r.size as f64 / r.latency_us.max(1) as f64;
             assert!((r.throughput - expect).abs() < 1e-9);
         }
@@ -390,59 +351,68 @@ mod tests {
 
     #[test]
     fn finish_after_arrival() {
-        for r in sample_records() {
+        for r in sample_batch().to_records() {
             assert!(r.finish_us > r.arrival_us);
             assert_eq!(r.finish_us - r.arrival_us, r.latency_us);
         }
     }
 
     #[test]
-    fn reads_only_filters() {
-        let recs = sample_records();
-        let reads = reads_only(&recs);
-        assert!(!reads.is_empty());
-        assert!(reads.iter().all(IoRecord::is_read));
-        assert!(reads.len() < recs.len());
-    }
-
-    #[test]
     fn collect_batch_matches_reference_rows() {
+        // The two ways the benchmark fills a log: `collect_batch` over a
+        // trace, and pushing `submit_one` rows one at a time.
         let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
             .seed(9)
             .duration_secs(3)
             .build();
         let mut dev_rows = SsdDevice::new(DeviceConfig::datacenter_nvme(), 7);
         let mut dev_cols = SsdDevice::new(DeviceConfig::datacenter_nvme(), 7);
-        let rows = collect(&trace, &mut dev_rows);
+        let mut pushed = RecordBatch::new();
+        let mut rows = Vec::new();
+        for req in &trace.requests {
+            let r = submit_one(req, &mut dev_rows);
+            pushed.push(r);
+            rows.push(r);
+        }
         let batch = collect_batch(&trace, &mut dev_cols);
         assert_eq!(batch.len(), rows.len());
+        assert_eq!(batch, pushed);
         assert_eq!(batch.to_records(), rows);
         assert_eq!(RecordBatch::from_records(&rows), batch);
     }
 
     #[test]
-    fn read_indices_mirror_reads_only() {
-        let recs = sample_records();
-        let batch = RecordBatch::from_records(&recs);
+    fn read_indices_select_exactly_the_reads() {
+        let batch = sample_batch();
         let idx = read_indices(&batch);
-        let reads = reads_only(&recs);
-        assert_eq!(idx.len(), reads.len());
-        for (k, &i) in idx.iter().enumerate() {
-            assert_eq!(batch.get(i as usize), reads[k]);
-        }
+        assert!(!idx.is_empty() && idx.len() < batch.len());
+        assert!(idx.windows(2).all(|w| w[0] < w[1]), "ascending, no repeats");
+        let reads = batch.to_records().iter().filter(|r| r.is_read()).count();
+        assert_eq!(idx.len(), reads);
+        assert!(idx.iter().all(|&i| batch.get(i as usize).is_read()));
     }
 
     #[test]
     fn views_agree_on_every_field() {
-        let recs = sample_records();
-        let batch = RecordBatch::from_records(&recs);
-        let all: Vec<u32> = (0..batch.len() as u32).collect();
+        // The whole batch, and the same log selected by index out of a
+        // batch with a decoy record in front of every real one.
+        let batch = sample_batch();
+        let recs = batch.to_records();
+        let mut padded = RecordBatch::new();
+        for &r in &recs {
+            padded.push(IoRecord {
+                arrival_us: r.arrival_us ^ 1,
+                truth_busy: !r.truth_busy,
+                ..r
+            });
+            padded.push(r);
+        }
+        let odd: Vec<u32> = (0..recs.len() as u32).map(|i| 2 * i + 1).collect();
         let views = [
-            ReadView::from(&recs),
             ReadView::from(&batch),
             ReadView::Indexed {
-                batch: &batch,
-                idx: &all,
+                batch: &padded,
+                idx: &odd,
             },
         ];
         for v in &views {
@@ -469,10 +439,10 @@ mod tests {
             .duration_secs(20)
             .build();
         let mut dev = SsdDevice::new(DeviceConfig::consumer_nvme(), 6);
-        let recs = collect(&trace, &mut dev);
-        let busy = recs.iter().filter(|r| r.truth_busy).count();
+        let batch = collect_batch(&trace, &mut dev);
+        let busy = (0..batch.len()).filter(|&i| batch.truth_busy(i)).count();
         assert!(busy > 0, "no busy periods observed");
-        let frac = busy as f64 / recs.len() as f64;
+        let frac = busy as f64 / batch.len() as f64;
         assert!(frac < 0.6, "device busy too often: {frac}");
     }
 }

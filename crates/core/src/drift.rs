@@ -10,7 +10,6 @@
 //! Index (PSI) over incoming feature rows; PSI above ~0.25 conventionally
 //! signals a significant shift.
 
-use crate::features::FeatureSpec;
 use heimdall_nn::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -183,24 +182,6 @@ impl DriftDetector {
         self.counts.iter_mut().for_each(|c| c.fill(0));
         self.observed = 0;
     }
-
-    /// Convenience: fits a detector from the *reads* of `records` via a
-    /// feature spec. Writes are dropped before featurization, exactly as
-    /// the pipeline drops them before training and as a deployed admitter
-    /// (which hears read completions only) sees its feature stream — rows
-    /// built with write completions in the history ring are a different
-    /// distribution from the one [`DriftDetector::observe`] is fed.
-    pub fn fit_from_records(
-        records: &[crate::collect::IoRecord],
-        spec: &FeatureSpec,
-    ) -> Option<DriftDetector> {
-        let reads = crate::collect::reads_only(records);
-        let labels = vec![false; reads.len()];
-        let keep = vec![true; reads.len()];
-        let view = crate::collect::ReadView::from(&reads);
-        let (data, _) = crate::features::build_dataset_view(&view, &labels, &keep, spec, 1);
-        Self::fit(&data)
-    }
 }
 
 #[cfg(test)]
@@ -233,38 +214,6 @@ mod tests {
             det.observe(fresh.row(i));
         }
         assert!(det.psi() < 0.1, "psi {}", det.psi());
-        assert!(!det.drifted());
-    }
-
-    #[test]
-    fn a_log_with_writes_does_not_drift_from_itself() {
-        // Regression: the reference was built over the full window (write
-        // completions in the history ring) while the retrain monitor feeds
-        // rows built over the window's reads, so a log read as drifted
-        // from itself (PSI >= 0.25 on every check interval of Fig 17).
-        use crate::collect::{collect, reads_only, ReadView};
-        let trace = heimdall_trace::gen::TraceBuilder::from_profile(
-            heimdall_trace::WorkloadProfile::TencentLike,
-        )
-        .seed(31)
-        .duration_secs(10)
-        .build();
-        let mut dev = heimdall_ssd::SsdDevice::new(heimdall_ssd::DeviceConfig::consumer_nvme(), 32);
-        let log = collect(&trace, &mut dev);
-        let reads = reads_only(&log);
-        assert!(
-            (log.len() - reads.len()) * 4 >= log.len(),
-            "needs >= 25% writes"
-        );
-        let spec = FeatureSpec::heimdall();
-        let mut det = DriftDetector::fit_from_records(&log, &spec).unwrap();
-        let (labels, keep) = (vec![false; reads.len()], vec![true; reads.len()]);
-        let (rows, _) =
-            crate::features::build_dataset_view(&ReadView::from(&reads), &labels, &keep, &spec, 1);
-        for i in 0..rows.rows() {
-            det.observe(rows.row(i));
-        }
-        assert!(det.psi() < DriftDetector::SIGNIFICANT, "psi {}", det.psi());
         assert!(!det.drifted());
     }
 

@@ -423,40 +423,25 @@ impl FeatureScratch {
     /// history-safe — shards need no warmup replay.
     ///
     /// The view variant is matched once out here so the hot loop
-    /// monomorphizes over a direct field gather instead of paying an enum
-    /// dispatch and bounds check per field access.
+    /// monomorphizes over its view-index → batch-index map instead of
+    /// paying an enum dispatch per field access.
     fn index(&mut self, view: &ReadView<'_>, labels: &[bool], keep: &[bool], depth: usize) {
         match *view {
-            ReadView::Slice(recs) => self.index_with(recs.len(), labels, keep, depth, |i| {
-                let r = &recs[i];
-                RecFields {
-                    arrival_us: r.arrival_us,
-                    finish_us: r.finish_us,
-                    latency_us: r.latency_us,
-                    size: r.size,
-                    queue_len: r.queue_len,
-                    throughput: r.throughput,
-                    is_read: r.is_read(),
-                }
-            }),
-            ReadView::Batch(b) => {
-                self.index_with(b.len(), labels, keep, depth, |i| RecFields::gather(b, i));
-            }
+            ReadView::Batch(b) => self.index_with(b, b.len(), labels, keep, depth, |i| i),
             ReadView::Indexed { batch, idx } => {
-                self.index_with(idx.len(), labels, keep, depth, |i| {
-                    RecFields::gather(batch, idx[i] as usize)
-                });
+                self.index_with(batch, idx.len(), labels, keep, depth, |i| idx[i] as usize);
             }
         }
     }
 
-    fn index_with<G: Fn(usize) -> RecFields>(
+    fn index_with(
         &mut self,
+        b: &RecordBatch,
         n: usize,
         labels: &[bool],
         keep: &[bool],
         depth: usize,
-        get: G,
+        at: impl Fn(usize) -> usize,
     ) {
         self.clear();
         self.promo_lat.reserve(n);
@@ -470,59 +455,32 @@ impl FeatureScratch {
         self.row_label.reserve(n);
         self.sources.reserve(n);
         for i in 0..n {
-            let r = get(i);
+            let r = at(i);
+            let arrival_us = b.arrival_us[r];
             // Promote completions that finished before this arrival. Equal
             // finish times promote in record order — the reference walk's
             // stable sort does the same.
             while let Some(&Reverse((finish, j))) = self.pending.peek() {
-                if finish > r.arrival_us {
+                if finish > arrival_us {
                     break;
                 }
                 self.pending.pop();
-                let p = get(j);
-                self.promo_lat.push(p.latency_us as f64);
-                self.promo_qlen.push(f64::from(p.queue_len));
-                self.promo_thpt.push(p.throughput);
-                self.promo_read.push(f64::from(p.is_read));
+                let p = at(j);
+                self.promo_lat.push(b.latency_us[p] as f64);
+                self.promo_qlen.push(f64::from(b.queue_len[p]));
+                self.promo_thpt.push(b.throughput[p]);
+                self.promo_read.push(f64::from(b.is_read(p)));
             }
             // `promotions >= depth` is exactly the ring's `is_full()`.
-            if r.is_read && keep[i] && self.promo_lat.len() >= depth {
+            if b.is_read(r) && keep[i] && self.promo_lat.len() >= depth {
                 self.row_pcount.push(self.promo_lat.len());
-                self.row_qlen.push(f64::from(r.queue_len));
-                self.row_size.push(f64::from(r.size));
-                self.row_arrival.push(r.arrival_us as f64);
+                self.row_qlen.push(f64::from(b.queue_len[r]));
+                self.row_size.push(f64::from(b.size[r]));
+                self.row_arrival.push(arrival_us as f64);
                 self.row_label.push(f32::from(u8::from(labels[i])));
                 self.sources.push(i);
             }
-            self.pending.push(Reverse((r.finish_us, i)));
-        }
-    }
-}
-
-/// The fields of one record the indexing pass consumes, gathered in a
-/// single access so the monomorphized loops touch each record once.
-#[derive(Clone, Copy)]
-struct RecFields {
-    arrival_us: u64,
-    finish_us: u64,
-    latency_us: u64,
-    size: u32,
-    queue_len: u32,
-    throughput: f64,
-    is_read: bool,
-}
-
-impl RecFields {
-    #[inline]
-    fn gather(b: &RecordBatch, i: usize) -> RecFields {
-        RecFields {
-            arrival_us: b.arrival_us[i],
-            finish_us: b.finish_us[i],
-            latency_us: b.latency_us[i],
-            size: b.size[i],
-            queue_len: b.queue_len[i],
-            throughput: b.throughput[i],
-            is_read: b.is_read(i),
+            self.pending.push(Reverse((b.finish_us[r], i)));
         }
     }
 }
@@ -597,8 +555,7 @@ fn walk_with_history<F: FnMut(usize, &History)>(records: &[IoRecord], depth: usi
 }
 
 /// Builds a raw dataset for the given spec (columnar engine) over any
-/// [`ReadView`] — slice, columnar batch, or an index-filtered batch, so
-/// batch-native callers skip materializing `Vec<IoRecord>` entirely.
+/// [`ReadView`] — a whole batch or an index projection of one.
 ///
 /// Rows are emitted only for *read* records that (a) survive the `keep`
 /// mask and (b) have a full history (warmup records are skipped). Returns
@@ -998,13 +955,13 @@ mod tests {
         }
     }
 
-    fn stream(n: usize) -> (Vec<IoRecord>, Vec<bool>, Vec<bool>) {
+    fn stream(n: usize) -> (RecordBatch, Vec<bool>, Vec<bool>) {
         let recs: Vec<IoRecord> = (0..n as u64)
             .map(|i| rec(i * 1000, 100 + i, 4096, (i % 5) as u32, IoOp::Read))
             .collect();
         let labels = vec![false; n];
         let keep = vec![true; n];
-        (recs, labels, keep)
+        (RecordBatch::from_records(&recs), labels, keep)
     }
 
     #[test]
@@ -1031,11 +988,11 @@ mod tests {
     fn history_uses_completed_ios_only() {
         // Second I/O arrives while the first is still in flight: its
         // history must NOT contain the first I/O.
-        let recs = vec![
+        let recs = RecordBatch::from_records(&[
             rec(0, 10_000, 4096, 0, IoOp::Read), // finishes at 10_000
             rec(100, 50, 4096, 1, IoOp::Read),   // arrives at 100
             rec(20_000, 50, 4096, 0, IoOp::Read),
-        ];
+        ]);
         let labels = vec![false; 3];
         let keep = vec![true; 3];
         let spec = FeatureSpec::with_depth(1);
@@ -1055,11 +1012,11 @@ mod tests {
 
     #[test]
     fn writes_feed_history_but_emit_no_rows() {
-        let recs = vec![
+        let recs = RecordBatch::from_records(&[
             rec(0, 100, 4096, 0, IoOp::Write),
             rec(1000, 100, 4096, 0, IoOp::Write),
             rec(2000, 100, 4096, 0, IoOp::Read),
-        ];
+        ]);
         let labels = vec![false; 3];
         let keep = vec![true; 3];
         let spec = FeatureSpec::with_depth(2);
@@ -1085,7 +1042,7 @@ mod tests {
     #[test]
     fn correlations_rank_informative_feature_first() {
         // Label correlates with queue length, not with size.
-        let mut recs = Vec::new();
+        let mut recs = RecordBatch::new();
         let mut labels = Vec::new();
         for i in 0..500u64 {
             let q = (i % 10) as u32;
@@ -1113,7 +1070,7 @@ mod tests {
 
     #[test]
     fn selection_drops_uninformative_timestamp() {
-        let mut recs = Vec::new();
+        let mut recs = RecordBatch::new();
         let mut labels = Vec::new();
         for i in 0..800u64 {
             let q = (i % 10) as u32;
@@ -1213,9 +1170,10 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Calls `f` with the three [`ReadView`] forms of one log: the row
-    /// slice, the whole batch, and an index projection that selects the
-    /// log back out of a batch interleaved with decoy records.
+    /// Calls `f` with both [`ReadView`] forms of one log: the whole batch,
+    /// and an index projection that selects the log back out of a batch
+    /// interleaved with decoy records. The row-form `*_reference` builders
+    /// the callers compare against never see a view.
     fn each_form(recs: &[IoRecord], mut f: impl FnMut(&str, &ReadView<'_>)) {
         let batch = RecordBatch::from_records(recs);
         let mut padded = RecordBatch::new();
@@ -1228,7 +1186,6 @@ mod tests {
             padded.push(r);
         }
         let idx: Vec<u32> = (0..recs.len() as u32).map(|i| 2 * i + 1).collect();
-        f("slice", &ReadView::Slice(recs));
         f("batch", &ReadView::Batch(&batch));
         f(
             "indexed",
@@ -1332,7 +1289,8 @@ mod tests {
         use heimdall_nn::{Scaler, ScalerKind};
         let (recs, labels, keep) = mixed_stream(150);
         let spec = FeatureSpec::heimdall();
-        let view = ReadView::from(&recs);
+        let batch = RecordBatch::from_records(&recs);
+        let view = ReadView::from(&batch);
         let (data, _, stats) = build_dataset_stats(&view, &labels, &keep, &spec, 3, 0.5);
         let (train, _) = data.split(0.5);
         assert_eq!(stats.rows, train.rows());

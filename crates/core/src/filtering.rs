@@ -197,7 +197,7 @@ fn tune_burst_threshold(runs: &[(usize, usize, bool)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::IoRecord;
+    use crate::collect::{IoRecord, RecordBatch};
     use heimdall_trace::IoOp;
 
     fn rec(lat: u64, size: u32, t: u64) -> IoRecord {
@@ -214,7 +214,7 @@ mod tests {
     }
 
     /// A slow period of 20 I/Os with 3 embedded cache-hit outliers.
-    fn slow_period_with_lucky_ios() -> (Vec<IoRecord>, Vec<bool>) {
+    fn slow_period_with_lucky_ios() -> (RecordBatch, Vec<bool>) {
         let mut recs = Vec::new();
         let mut labels = Vec::new();
         let mut t = 0;
@@ -234,7 +234,7 @@ mod tests {
             labels.push(false);
             t += 100;
         }
-        (recs, labels)
+        (RecordBatch::from_records(&recs), labels)
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         // Only the lucky ones are dropped.
         for i in 0..recs.len() {
             if !keep[i] {
-                assert!(labels[i] && recs[i].latency_us < 100);
+                assert!(labels[i] && recs.latency_us[i] < 100);
             }
         }
     }
@@ -262,6 +262,7 @@ mod tests {
             .collect();
         // One transient retry at 8 ms in a fast period.
         recs[200] = rec(8000, 4096, 200 * 100);
+        let recs = RecordBatch::from_records(&recs);
         let labels = vec![false; recs.len()];
         let cfg = FilterConfig {
             stage1: false,
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn stage3_removes_short_bursts_only() {
-        let mut recs = Vec::new();
+        let mut recs = RecordBatch::new();
         let mut labels = Vec::new();
         let mut t = 0;
         // Short burst of 2 slow, then long run of 30 slow.
@@ -344,7 +345,8 @@ mod tests {
 
     #[test]
     fn empty_input_ok() {
-        let (keep, stats) = filter_view(&ReadView::Slice(&[]), &[], &FilterConfig::default());
+        let empty = RecordBatch::new();
+        let (keep, stats) = filter_view(&ReadView::from(&empty), &[], &FilterConfig::default());
         assert!(keep.is_empty());
         assert_eq!(stats.total(), 0);
     }

@@ -11,7 +11,7 @@
 //! search balancing accuracy (class separation) and sensitivity (slow
 //! fraction), per Fig 3d.
 
-use crate::collect::{IoRecord, ReadView};
+use crate::collect::ReadView;
 use heimdall_metrics::stats::{
     median, median_inplace, median_sorted, quantile_sorted, sort_for_quantiles,
 };
@@ -49,7 +49,7 @@ impl Default for PeriodThresholds {
 /// endpoints. Everything above the cutoff is labeled slow.
 ///
 /// Returns one label per record (`true` = slow), over any [`ReadView`]
-/// (slice, columnar batch, or an indexed read subset).
+/// (a whole batch or an indexed read subset).
 pub fn cutoff_label_view(view: &ReadView<'_>) -> Vec<bool> {
     let n = view.len();
     if n == 0 {
@@ -417,14 +417,13 @@ pub fn tune_thresholds_with_view(
 /// implementation did. Kept as the differential baseline for the
 /// bitwise-identity regression test and the training bench's before/after
 /// lane.
-pub fn tune_thresholds_reference(records: &[IoRecord]) -> PeriodThresholds {
-    if records.len() < 32 {
+pub fn tune_thresholds_reference(view: &ReadView<'_>) -> PeriodThresholds {
+    if view.len() < 32 {
         return PeriodThresholds::default();
     }
-    let view = ReadView::from(records);
     search_thresholds(|t| {
-        let scratch = LabelingScratch::new_view(&view, t.window_us);
-        labeling_objective_view(&view, &period_label_with_view(&view, t, &scratch))
+        let scratch = LabelingScratch::new_view(view, t.window_us);
+        labeling_objective_view(view, &period_label_with_view(view, t, &scratch))
     })
 }
 
@@ -521,7 +520,7 @@ pub fn labeling_accuracy_view(view: &ReadView<'_>, labels: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::{collect, reads_only};
+    use crate::collect::{collect_batch, read_indices, IoRecord, RecordBatch};
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::{IoOp, WorkloadProfile};
@@ -553,8 +552,8 @@ mod tests {
 
     /// 300 fast I/Os, then a 40-I/O busy window where latency jumps ~20x
     /// and completions thin to one per millisecond, then 300 fast I/Os.
-    fn synthetic_busy_window() -> Vec<IoRecord> {
-        let mut v = Vec::new();
+    fn synthetic_busy_window() -> RecordBatch {
+        let mut v = RecordBatch::new();
         for i in 0..640u64 {
             let t = i * 200;
             if (300..340).contains(&i) {
@@ -571,8 +570,8 @@ mod tests {
 
     /// Fast period with interleaved big healthy I/Os: latency is high for
     /// the big ones, but the device moves plenty of bytes.
-    fn big_healthy_mix() -> Vec<IoRecord> {
-        let mut v = Vec::new();
+    fn big_healthy_mix() -> RecordBatch {
+        let mut v = RecordBatch::new();
         let mut t = 0;
         for i in 0..400u64 {
             if i % 10 == 0 {
@@ -600,11 +599,12 @@ mod tests {
         let recs = big_healthy_mix();
         let labels = period_label_view(&ReadView::from(&recs), &test_thresholds());
         let big_flagged = recs
+            .size
             .iter()
             .zip(&labels)
-            .filter(|(r, &l)| r.size > 1 << 20 && l)
+            .filter(|(&size, &l)| size > 1 << 20 && l)
             .count();
-        let big_total = recs.iter().filter(|r| r.size > 1 << 20).count();
+        let big_total = recs.size.iter().filter(|&&size| size > 1 << 20).count();
         assert!(
             big_flagged * 10 <= big_total,
             "{big_flagged}/{big_total} big healthy I/Os mislabeled slow"
@@ -618,9 +618,10 @@ mod tests {
         let recs = big_healthy_mix();
         let labels = cutoff_label_view(&ReadView::from(&recs));
         let big_flagged = recs
+            .size
             .iter()
             .zip(&labels)
-            .filter(|(r, &l)| r.size > 1 << 20 && l)
+            .filter(|(&size, &l)| size > 1 << 20 && l)
             .count();
         assert!(
             big_flagged >= 30,
@@ -660,7 +661,8 @@ mod tests {
             max_drop: 0.35,
             ..Default::default()
         };
-        let view = ReadView::from(&recs);
+        let batch = RecordBatch::from_records(&recs);
+        let view = ReadView::from(&batch);
         let period = period_label_view(&view, &th);
         let cutoff = cutoff_label_view(&view);
         let big_mislabels = |labels: &[bool]| {
@@ -701,6 +703,7 @@ mod tests {
         let recs: Vec<IoRecord> = (0..200)
             .map(|i| rec(i * 200, 100 + i % 7, 4096, false))
             .collect();
+        let recs = RecordBatch::from_records(&recs);
         let health = device_throughput_view(&ReadView::from(&recs), 5_000);
         for &h in &health[30..] {
             assert!(h > 0.8 && h <= 2.0, "health {h}");
@@ -722,7 +725,7 @@ mod tests {
     fn health_collapses_when_latencies_inflate() {
         // Same arrival rate, but a window where every read takes 20x its
         // normal time (no queue starvation needed).
-        let mut recs = Vec::new();
+        let mut recs = RecordBatch::new();
         for i in 0..600u64 {
             let lat = if (300..340).contains(&i) {
                 2000
@@ -739,7 +742,7 @@ mod tests {
     #[test]
     fn health_stays_up_for_bursty_healthy_traffic() {
         // Quiet stretch then a 10x arrival burst, all served promptly.
-        let mut recs = Vec::new();
+        let mut recs = RecordBatch::new();
         let mut t = 0;
         for _ in 0..100 {
             recs.push(rec(t, 100, 4096, false));
@@ -771,12 +774,12 @@ mod tests {
     /// Cheap seeded synthetic trace: mixed sizes, seed-positioned busy
     /// windows with latency inflation and completion thinning — enough
     /// structure to drive the tuner off its defaults.
-    fn seeded_trace(seed: u64) -> Vec<IoRecord> {
+    fn seeded_trace(seed: u64) -> RecordBatch {
         let mut rng = heimdall_trace::rng::Rng64::new(seed ^ 0x6c61_6265_6c74);
         let n = 400 + rng.below(200);
         let busy_at = 100 + rng.below(n - 200);
         let busy_len = 20 + rng.below(40);
-        let mut v = Vec::new();
+        let mut v = RecordBatch::new();
         let mut t = 0u64;
         for i in 0..n {
             let busy = i >= busy_at && i < busy_at + busy_len;
@@ -802,7 +805,7 @@ mod tests {
             let recs = seeded_trace(seed);
             let view = ReadView::from(&recs);
             let fast = tune_thresholds_view(&view);
-            let slow = tune_thresholds_reference(&recs);
+            let slow = tune_thresholds_reference(&view);
             assert!(
                 fast.high_lat_q.to_bits() == slow.high_lat_q.to_bits()
                     && fast.low_thpt_q.to_bits() == slow.low_thpt_q.to_bits()
@@ -981,8 +984,12 @@ mod tests {
         let mut cfg = DeviceConfig::consumer_nvme();
         cfg.free_pool = 1 << 30;
         let mut dev = SsdDevice::new(cfg, 8);
-        let reads = reads_only(&collect(&trace, &mut dev));
-        let view = ReadView::from(&reads);
+        let batch = collect_batch(&trace, &mut dev);
+        let idx = read_indices(&batch);
+        let view = ReadView::Indexed {
+            batch: &batch,
+            idx: &idx,
+        };
         let th = tune_thresholds_view(&view);
         let labels = period_label_view(&view, &th);
         let slow_frac = labels.iter().filter(|&&l| l).count() as f64 / labels.len() as f64;
@@ -996,7 +1003,8 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_labels() {
-        let empty = ReadView::Slice(&[]);
+        let batch = RecordBatch::new();
+        let empty = ReadView::from(&batch);
         assert!(period_label_view(&empty, &PeriodThresholds::default()).is_empty());
         assert!(cutoff_label_view(&empty).is_empty());
         assert!(device_throughput_view(&empty, 1000).is_empty());

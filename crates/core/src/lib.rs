@@ -22,25 +22,27 @@
 //! - [`retrain`] — accuracy-triggered retraining for long deployments (§7).
 //! - [`drift`] — proactive input-drift detection (a §7 open question).
 //!
-//! # One log type, one function per operation
+//! # One log, one function per operation
 //!
-//! Every stage reads its log through a [`ReadView`] — a row slice, a
-//! columnar [`RecordBatch`], or an index projection of one — and each
+//! The log is a columnar [`RecordBatch`] ([`collect::collect_batch`]; an
+//! [`IoRecord`] is one row of it), and every stage reads it through a
+//! [`ReadView`] — the whole batch, or an index projection of it (the
+//! reads, a training slice, a monitoring window), never a copy. Each
 //! operation has exactly one entry point (the `*_view` functions of
 //! [`labeling`], [`filtering::filter_view`], [`stage_cache::stage_key_view`],
-//! the `build_*_view` builders of [`features`]). A row-form caller
-//! converts once with `ReadView::from(&records)`. The trainer is
+//! the `build_*_view` builders of [`features`]). The trainer is
 //! [`pipeline::run_view`]`(view, cfg, cache)`, which drops writes and
 //! optionally shares its labeling/filtering stage through a
-//! [`StageCache`]; [`pipeline::run`] and [`pipeline::run_batch`] are that
-//! function over a record slice and a batch. The `*_reference` functions
-//! are the seed engines the parity suites compare against.
+//! [`StageCache`]; [`pipeline::run_batch`] is that function over a whole
+//! batch. The `*_reference` functions are the seed engines the parity
+//! suites compare against; the featurizer references take rows
+//! ([`RecordBatch::to_records`]) so that they share nothing with the views.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use heimdall_core::collect::collect;
-//! use heimdall_core::pipeline::{run, PipelineConfig};
+//! use heimdall_core::collect::collect_batch;
+//! use heimdall_core::pipeline::{run_batch, PipelineConfig};
 //! use heimdall_ssd::{DeviceConfig, SsdDevice};
 //! use heimdall_trace::gen::TraceBuilder;
 //! use heimdall_trace::WorkloadProfile;
@@ -50,8 +52,8 @@
 //!     .duration_secs(60)
 //!     .build();
 //! let mut device = SsdDevice::new(DeviceConfig::datacenter_nvme(), 7);
-//! let records = collect(&trace, &mut device);
-//! let (model, report) = run(&records, &PipelineConfig::heimdall()).unwrap();
+//! let log = collect_batch(&trace, &mut device);
+//! let (model, report) = run_batch(&log, &PipelineConfig::heimdall()).unwrap();
 //! println!("test ROC-AUC = {:.3}", report.metrics.roc_auc);
 //! assert!(model.memory_bytes() < 28 * 1024);
 //! ```
@@ -66,7 +68,7 @@ pub mod pipeline;
 pub mod retrain;
 pub mod stage_cache;
 
-pub use collect::{collect, collect_batch, read_indices, IoRecord, ReadView, RecordBatch};
+pub use collect::{collect_batch, read_indices, IoRecord, ReadView, RecordBatch};
 pub use drift::DriftDetector;
 pub use features::{CompiledSpec, Feature, FeatureScratch, FeatureSpec};
 pub use filtering::{FilterConfig, FilterStats};

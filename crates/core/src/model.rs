@@ -276,8 +276,8 @@ impl OnlineAdmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::collect;
-    use crate::pipeline::{run, PipelineConfig};
+    use crate::collect::collect_batch;
+    use crate::pipeline::{run_batch, PipelineConfig};
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::WorkloadProfile;
@@ -290,10 +290,10 @@ mod tests {
         let mut cfg = DeviceConfig::consumer_nvme();
         cfg.free_pool = 1 << 30;
         let mut dev = SsdDevice::new(cfg, 12);
-        let records = collect(&trace, &mut dev);
+        let records = collect_batch(&trace, &mut dev);
         let mut pc = PipelineConfig::heimdall();
         pc.joint = joint;
-        run(&records, &pc).unwrap().0
+        run_batch(&records, &pc).unwrap().0
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! accurate labeling (LA) → feature extraction (FE) → feature selection
 //! (FS) → model engineering (M) → noise filtering (LN).
 
-use crate::collect::{read_indices, IoRecord, ReadView, RecordBatch};
+use crate::collect::{read_indices, ReadView, RecordBatch};
 use crate::features::{
     build_dataset_stats, build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view,
     select_features, FeatureSpec,
@@ -374,18 +374,12 @@ pub struct LabelArtifact {
 }
 
 /// Hands `f` the reads of `view`: the view itself when it holds no
-/// writes (the common case for profiling logs routed through
-/// [`crate::collect::reads_only`] — nothing is copied), else the read
-/// subset — filtered rows for a slice, an index projection for a batch.
-pub(crate) fn with_reads<R>(view: &ReadView<'_>, f: impl FnOnce(&ReadView<'_>) -> R) -> R {
+/// writes (nothing is built), else an index projection onto its reads.
+fn with_reads<R>(view: &ReadView<'_>, f: impl FnOnce(&ReadView<'_>) -> R) -> R {
     if (0..view.len()).all(|i| view.is_read(i)) {
         return f(view);
     }
     match *view {
-        ReadView::Slice(records) => {
-            let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-            f(&ReadView::Slice(&reads))
-        }
         ReadView::Batch(batch) => {
             let idx = read_indices(batch);
             f(&ReadView::Indexed { batch, idx: &idx })
@@ -518,28 +512,14 @@ fn featurize(
     Ok((kind, data, stats))
 }
 
-/// Runs the configured pipeline over collected records (reads drive labels
-/// and rows; pass the full record stream — writes are filtered in
-/// [`run_view`]).
+/// Runs the configured pipeline over a collected log (see
+/// [`crate::collect::collect_batch`]). Reads drive labels and rows; pass
+/// the full record stream — writes are dropped by index in [`run_view`].
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError`] when the input is empty or too short to build
 /// a single feature row on either split side.
-pub fn run(
-    records: &[IoRecord],
-    cfg: &PipelineConfig,
-) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_view(&ReadView::from(records), cfg, None)
-}
-
-/// [`run`] straight off a columnar [`RecordBatch`] (see
-/// [`crate::collect::collect_batch`]): writes are dropped by index and
-/// every stage reads the batch's columns directly.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] exactly as [`run`] does.
 pub fn run_batch(
     batch: &RecordBatch,
     cfg: &PipelineConfig,
@@ -548,8 +528,8 @@ pub fn run_batch(
 }
 
 /// The pipeline itself, over any [`ReadView`] of the full record stream —
-/// [`run`] and [`run_batch`] are this with a converted argument. Writes
-/// are dropped here, once, whatever the view's form.
+/// [`run_batch`] is this over a whole batch with no cache. Writes are
+/// dropped here, once, whatever the view's form.
 ///
 /// With a [`StageCache`], the labeling and filtering stages are served
 /// through it: cells of a sweep that replay the same trace under the same
@@ -562,7 +542,7 @@ pub fn run_batch(
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] exactly as [`run`] does.
+/// Returns [`PipelineError`] exactly as [`run_batch`] does.
 pub fn run_view(
     view: &ReadView<'_>,
     cfg: &PipelineConfig,
@@ -674,13 +654,13 @@ fn run_reads(
 /// Returns [`PipelineError`] when the input cannot produce `k` non-empty
 /// folds.
 pub fn cross_validate(
-    records: &[IoRecord],
+    view: &ReadView<'_>,
     cfg: &PipelineConfig,
     k: usize,
 ) -> Result<Vec<MetricReport>, PipelineError> {
     assert!(k >= 2, "need at least two folds");
     let spec = spec_for(&cfg.features);
-    let mut data = with_reads(&ReadView::from(records), |view| {
+    let mut data = with_reads(view, |view| {
         if view.is_empty() {
             return Err(PipelineError::NoRecords);
         }
@@ -822,12 +802,12 @@ fn spec_for(mode: &FeatureMode) -> FeatureSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::collect;
+    use crate::collect::collect_batch;
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::WorkloadProfile;
 
-    fn busy_records(seed: u64, secs: u64) -> Vec<IoRecord> {
+    fn busy_records(seed: u64, secs: u64) -> RecordBatch {
         let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
             .seed(seed)
             .duration_secs(secs)
@@ -835,13 +815,13 @@ mod tests {
         let mut cfg = DeviceConfig::consumer_nvme();
         cfg.free_pool = 1 << 30; // provoke frequent GC so slow data exists
         let mut dev = SsdDevice::new(cfg, seed ^ 1);
-        collect(&trace, &mut dev)
+        collect_batch(&trace, &mut dev)
     }
 
     #[test]
     fn heimdall_pipeline_trains_and_scores_well() {
         let records = busy_records(1, 30);
-        let (trained, report) = run(&records, &PipelineConfig::heimdall()).unwrap();
+        let (trained, report) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
         assert!(
             report.metrics.roc_auc > 0.8,
             "auc {}",
@@ -855,7 +835,7 @@ mod tests {
     #[test]
     fn linnos_baseline_runs() {
         let records = busy_records(2, 20);
-        let (trained, report) = run(&records, &PipelineConfig::linnos_baseline()).unwrap();
+        let (trained, report) = run_batch(&records, &PipelineConfig::linnos_baseline()).unwrap();
         assert_eq!(report.input_dim, 31);
         assert_eq!(trained.mlp.multiplications(), 8448);
         assert!(report.metrics.roc_auc > 0.4);
@@ -864,7 +844,7 @@ mod tests {
     #[test]
     fn filtering_reports_stats() {
         let records = busy_records(3, 20);
-        let (_, report) = run(&records, &PipelineConfig::heimdall()).unwrap();
+        let (_, report) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
         let stats = report.filter_stats.expect("filtering enabled");
         assert!(stats.burst_threshold >= 1);
     }
@@ -874,7 +854,7 @@ mod tests {
         let records = busy_records(4, 20);
         let mut cfg = PipelineConfig::heimdall();
         cfg.joint = 5;
-        let (trained, report) = run(&records, &cfg).unwrap();
+        let (trained, report) = run_batch(&records, &cfg).unwrap();
         assert_eq!(trained.joint, 5);
         // 1 qlen + 9 history + 5 sizes.
         assert_eq!(report.input_dim, 15);
@@ -888,7 +868,7 @@ mod tests {
     #[test]
     fn empty_input_is_error() {
         assert_eq!(
-            run(&[], &PipelineConfig::heimdall()).unwrap_err(),
+            run_batch(&RecordBatch::new(), &PipelineConfig::heimdall()).unwrap_err(),
             PipelineError::NoRecords
         );
     }
@@ -896,7 +876,7 @@ mod tests {
     #[test]
     fn predict_raw_roundtrip() {
         let records = busy_records(5, 20);
-        let (trained, _) = run(&records, &PipelineConfig::heimdall()).unwrap();
+        let (trained, _) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
         let row = vec![1.0f32; 11];
         let p = trained.predict_raw(&row);
         assert!((0.0..=1.0).contains(&p));
@@ -909,24 +889,25 @@ mod tests {
         let mut cfg = PipelineConfig::heimdall();
         cfg.features = FeatureMode::Full(3);
         cfg.select_min_corr = Some(0.02);
-        let (_, report) = run(&records, &cfg).unwrap();
+        let (_, report) = run_batch(&records, &cfg).unwrap();
         let full_dim = FeatureSpec::full(3).dim();
         assert!(report.input_dim <= full_dim);
     }
 
     /// Ground-truth AUC of a trained model: score its decisions against the
     /// simulator's internal busy flags (evaluation only — Fig 5a).
-    fn truth_auc(trained: &Trained, records: &[IoRecord]) -> f64 {
-        let reads: Vec<IoRecord> = records.iter().copied().filter(IoRecord::is_read).collect();
-        let truth: Vec<bool> = reads.iter().map(|r| r.truth_busy).collect();
-        let keep = vec![true; reads.len()];
-        let (data, _) = build_dataset_view(
-            &ReadView::from(&reads),
-            &truth,
-            &keep,
-            &FeatureSpec::heimdall(),
-            1,
-        );
+    fn truth_auc(trained: &Trained, records: &RecordBatch) -> f64 {
+        let idx = read_indices(records);
+        let truth: Vec<bool> = idx
+            .iter()
+            .map(|&i| records.truth_busy(i as usize))
+            .collect();
+        let keep = vec![true; idx.len()];
+        let reads = ReadView::Indexed {
+            batch: records,
+            idx: &idx,
+        };
+        let (data, _) = build_dataset_view(&reads, &truth, &keep, &FeatureSpec::heimdall(), 1);
         let (_, test) = data.split(0.5);
         let scores = trained.predict_dataset(&test);
         heimdall_metrics::roc_auc(&scores, &test.labels_bool())
@@ -941,8 +922,8 @@ mod tests {
         let records = busy_records(7, 30);
         let mut cutoff_cfg = PipelineConfig::heimdall();
         cutoff_cfg.labeling = LabelingMode::Cutoff;
-        let (cutoff_model, _) = run(&records, &cutoff_cfg).unwrap();
-        let (period_model, _) = run(&records, &PipelineConfig::heimdall()).unwrap();
+        let (cutoff_model, _) = run_batch(&records, &cutoff_cfg).unwrap();
+        let (period_model, _) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
         let p = truth_auc(&period_model, &records);
         let c = truth_auc(&cutoff_model, &records);
         assert!(p > 0.8, "period truth-AUC too low: {p}");
@@ -952,7 +933,8 @@ mod tests {
     #[test]
     fn cross_validation_reports_per_fold() {
         let records = busy_records(9, 20);
-        let reports = cross_validate(&records, &PipelineConfig::heimdall(), 3).unwrap();
+        let reports =
+            cross_validate(&ReadView::from(&records), &PipelineConfig::heimdall(), 3).unwrap();
         assert_eq!(reports.len(), 3);
         let mean: f64 = reports.iter().map(|r| r.roc_auc).sum::<f64>() / 3.0;
         assert!(mean > 0.7, "mean CV auc {mean}");
@@ -961,8 +943,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let records = busy_records(8, 15);
-        let (_, a) = run(&records, &PipelineConfig::heimdall()).unwrap();
-        let (_, b) = run(&records, &PipelineConfig::heimdall()).unwrap();
+        let (_, a) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
+        let (_, b) = run_batch(&records, &PipelineConfig::heimdall()).unwrap();
         assert_eq!(a.metrics.roc_auc, b.metrics.roc_auc);
     }
 }

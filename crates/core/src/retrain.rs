@@ -2,19 +2,24 @@
 //!
 //! The paper's preliminary policy monitors model accuracy every minute and
 //! retrains on the last minute of data whenever accuracy drops below 80%.
-//! This module implements that monitor over a stream of collected records,
-//! producing the Fig 17 series: per-window accuracy with and without
-//! retraining, plus the retraining trigger timestamps.
+//! This module implements that monitor over a collected log, producing the
+//! Fig 17 series: per-window accuracy with and without retraining, plus the
+//! retraining trigger timestamps. The log is in arrival order, so every
+//! training slice and monitoring window is a sub-slice of its read indices,
+//! computed once per evaluation — the log itself is never copied.
 
-use crate::collect::{IoRecord, ReadView};
-use crate::features::{build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view};
+use crate::collect::{read_indices, ReadView, RecordBatch};
+use crate::drift::DriftDetector;
+use crate::features::{
+    build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view, FeatureSpec,
+};
 use crate::pipeline::{
-    cached_label_stage, run_view, with_reads, FeatureKind, LabelingMode, PipelineConfig,
-    PipelineError, Trained,
+    cached_label_stage, run_view, FeatureKind, LabelingMode, PipelineConfig, PipelineError, Trained,
 };
 use crate::stage_cache::StageCache;
 use heimdall_metrics::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Retraining policy knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -93,44 +98,49 @@ fn monitor_label_cfg(cfg: &RetrainConfig) -> PipelineConfig {
     c
 }
 
-/// Scores a model's decisions against period-based labels over `records`
-/// (reads only); returns plain accuracy. Several evaluations monitor the
+/// The sub-slice of `reads` (the log's [`read_indices`]) that arrives in
+/// `[lo_us, hi_us)`.
+fn arriving<'a>(batch: &RecordBatch, reads: &'a [u32], lo_us: u64, hi_us: u64) -> &'a [u32] {
+    let before = |t: u64| reads.partition_point(|&i| batch.arrival_us[i as usize] < t);
+    &reads[before(lo_us)..before(hi_us)]
+}
+
+/// Scores a model's decisions against period-based labels over the reads
+/// of one window; returns plain accuracy. Several evaluations monitor the
 /// same windows, so the tuned window labels go through the shared cache
 /// when one is provided.
 fn window_accuracy(
     model: &Trained,
-    records: &[IoRecord],
+    reads: &ReadView<'_>,
     label_cfg: &PipelineConfig,
     cache: Option<&StageCache>,
 ) -> Option<f64> {
-    with_reads(&ReadView::from(records), |reads| {
-        if reads.len() < 64 {
-            return None;
+    if reads.len() < 64 {
+        return None;
+    }
+    let la = cached_label_stage(reads, label_cfg, cache);
+    let labels = &la.labels;
+    let keep = vec![true; reads.len()];
+    let data = match &model.kind {
+        FeatureKind::LinnosDigitized => build_linnos_dataset_view(reads, labels, &keep, 1).0,
+        FeatureKind::Spec(spec) => build_dataset_view(reads, labels, &keep, spec, 1).0,
+        FeatureKind::Joint { hist_depth, p } => {
+            build_joint_dataset_view(reads, labels, &keep, *hist_depth, *p, 1).0
         }
-        let la = cached_label_stage(reads, label_cfg, cache);
-        let labels = &la.labels;
-        let keep = vec![true; reads.len()];
-        let data = match &model.kind {
-            FeatureKind::LinnosDigitized => build_linnos_dataset_view(reads, labels, &keep, 1).0,
-            FeatureKind::Spec(spec) => build_dataset_view(reads, labels, &keep, spec, 1).0,
-            FeatureKind::Joint { hist_depth, p } => {
-                build_joint_dataset_view(reads, labels, &keep, *hist_depth, *p, 1).0
-            }
-        };
-        if data.is_empty() {
-            return None;
-        }
-        let scores = model.predict_dataset(&data);
-        let cm = ConfusionMatrix::from_scores(&scores, &data.labels_bool(), 0.5);
-        Some(cm.accuracy())
-    })
+    };
+    if data.is_empty() {
+        return None;
+    }
+    let scores = model.predict_dataset(&data);
+    let cm = ConfusionMatrix::from_scores(&scores, &data.labels_bool(), 0.5);
+    Some(cm.accuracy())
 }
 
 /// Evaluates a model trained once on the first `initial_train_us` of the
-/// stream, with no retraining ("First N min" lines of Fig 17a).
+/// log, with no retraining ("First N min" lines of Fig 17a).
 ///
 /// Training and window labeling are served through `cache` when one is
-/// given: concurrent evaluations over the same stream (the Fig 17 panel)
+/// given: concurrent evaluations over the same log (the Fig 17 panel)
 /// tune and label each training slice and each monitoring window once.
 /// Reports are identical with or without a cache.
 ///
@@ -139,23 +149,21 @@ fn window_accuracy(
 /// [`PipelineError::ZeroWindow`] on a zero check interval or report window;
 /// otherwise propagates [`PipelineError`] from the initial training run.
 pub fn evaluate_static(
-    records: &[IoRecord],
+    batch: &RecordBatch,
     initial_train_us: u64,
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
     check_windows(cfg)?;
-    let start = records.first().map_or(0, |r| r.arrival_us);
-    let train_slice: Vec<IoRecord> = records
-        .iter()
-        .copied()
-        .filter(|r| r.arrival_us < start + initial_train_us)
-        .collect();
-    let (model, _) = run_view(&ReadView::from(&train_slice), &cfg.pipeline, cache)?;
+    let reads = read_indices(batch);
+    let start = batch.arrival_us.first().copied().unwrap_or(0);
+    let idx = arriving(batch, &reads, 0, start + initial_train_us);
+    let (model, _) = run_view(&ReadView::Indexed { batch, idx }, &cfg.pipeline, cache)?;
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
-    each_window(records, cfg.report_window_us, |end, window| {
-        if let Some(acc) = window_accuracy(&model, window, &label_cfg, cache) {
+    each_window(batch, &reads, cfg.report_window_us, |end, idx| {
+        let window = ReadView::Indexed { batch, idx };
+        if let Some(acc) = window_accuracy(&model, &window, &label_cfg, cache) {
             report.accuracy_series.push((end, acc));
         }
     });
@@ -172,167 +180,147 @@ pub fn evaluate_static(
 ///
 /// As [`evaluate_static`].
 pub fn evaluate_retraining(
-    records: &[IoRecord],
+    batch: &RecordBatch,
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
-    check_windows(cfg)?;
-    let start = records.first().map_or(0, |r| r.arrival_us);
-    let initial: Vec<IoRecord> = records
-        .iter()
-        .copied()
-        .filter(|r| r.arrival_us < start + cfg.check_interval_us)
-        .collect();
-    let (mut model, _) = run_view(&ReadView::from(&initial), &cfg.pipeline, cache)?;
-    let label_cfg = monitor_label_cfg(cfg);
-    let mut report = RetrainReport::default();
-
-    // Walk in check intervals; report accuracy over report windows.
-    let mut report_acc: Vec<f64> = Vec::new();
-    let mut report_end = start + cfg.report_window_us;
-    each_window(records, cfg.check_interval_us, |end, window| {
-        let Some(acc) = window_accuracy(&model, window, &label_cfg, cache) else {
-            return;
-        };
-        report_acc.push(acc);
-        if end >= report_end {
-            let mean = report_acc.iter().sum::<f64>() / report_acc.len() as f64;
-            report.accuracy_series.push((end, mean));
-            report_acc.clear();
-            report_end = end + cfg.report_window_us;
-        }
-        if acc < cfg.trigger_accuracy {
-            // Retrain on the trailing window.
-            let lo = end.saturating_sub(cfg.retrain_window_us);
-            let slice: Vec<IoRecord> = records
-                .iter()
-                .copied()
-                .filter(|r| r.arrival_us >= lo && r.arrival_us < end)
-                .collect();
-            if let Ok((m, _)) = run_view(&ReadView::from(&slice), &cfg.pipeline, cache) {
-                model = m;
-                report.retrain_times_us.push(end);
-                report.retrain_sizes.push(slice.len());
-            }
-        }
-    });
-    if !report_acc.is_empty() {
-        let mean = report_acc.iter().sum::<f64>() / report_acc.len() as f64;
-        report.accuracy_series.push((report_end, mean));
-    }
-    Ok(report)
+    let below = |acc: Option<f64>| acc.is_some_and(|a| a < cfg.trigger_accuracy);
+    monitor(batch, cfg, cache, |_| {}, |_, acc| below(acc))
 }
 
 /// Evaluates *drift-triggered* retraining (the proactive alternative the
 /// paper's §7 sketches): instead of waiting for labeled accuracy to drop,
-/// a [`DriftDetector`](crate::drift::DriftDetector) watches the deployed
-/// feature distribution and triggers a retrain when the window's PSI
-/// crosses the significance threshold. No labels are needed between
-/// retrains. `cache` is as for [`evaluate_static`].
+/// a [`DriftDetector`] watches the deployed feature distribution and
+/// triggers a retrain when the window's PSI crosses the significance
+/// threshold. No labels are needed between retrains. `cache` is as for
+/// [`evaluate_static`].
 ///
 /// # Errors
 ///
 /// As [`evaluate_static`].
 pub fn evaluate_drift_retraining(
-    records: &[IoRecord],
+    batch: &RecordBatch,
     cfg: &RetrainConfig,
     cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
-    use crate::drift::DriftDetector;
-    use crate::features::FeatureSpec;
+    let detector = RefCell::new(None);
+    monitor(
+        batch,
+        cfg,
+        cache,
+        |trained_on| *detector.borrow_mut() = DriftDetector::fit(&drift_rows(trained_on)),
+        |window, _| {
+            let mut detector = detector.borrow_mut();
+            let Some(det) = detector.as_mut() else {
+                return false;
+            };
+            let rows = drift_rows(window);
+            for i in 0..rows.rows() {
+                det.observe(rows.row(i));
+            }
+            det.drifted()
+        },
+    )
+}
 
+/// The feature rows the drift detector works on, for its reference and for
+/// every observation alike: Heimdall's layout over a window's *reads* —
+/// what the model trains on and what a deployed admitter, which hears read
+/// completions only, sees.
+fn drift_rows(reads: &ReadView<'_>) -> heimdall_nn::Dataset {
+    let (labels, keep) = (vec![false; reads.len()], vec![true; reads.len()]);
+    build_dataset_view(reads, &labels, &keep, &FeatureSpec::heimdall(), 1).0
+}
+
+/// The loop both retraining policies share. Trains on the first check
+/// interval, then walks the log in check intervals: scores the deployed
+/// model on each (reporting the mean per report window) and, when
+/// `trigger` says so, retrains on the trailing
+/// [`RetrainConfig::retrain_window_us`]. `trigger` gets each interval's
+/// reads and accuracy (`None` under 64 reads); `deployed` gets the reads
+/// every deployed model — the initial one included — was trained on.
+fn monitor(
+    batch: &RecordBatch,
+    cfg: &RetrainConfig,
+    cache: Option<&StageCache>,
+    mut deployed: impl FnMut(&ReadView<'_>),
+    mut trigger: impl FnMut(&ReadView<'_>, Option<f64>) -> bool,
+) -> Result<RetrainReport, PipelineError> {
     check_windows(cfg)?;
-    let start = records.first().map_or(0, |r| r.arrival_us);
-    let initial: Vec<IoRecord> = records
-        .iter()
-        .copied()
-        .filter(|r| r.arrival_us < start + cfg.check_interval_us)
-        .collect();
-    let (mut model, _) = run_view(&ReadView::from(&initial), &cfg.pipeline, cache)?;
-    let spec = FeatureSpec::heimdall();
-    let mut detector = DriftDetector::fit_from_records(&initial, &spec);
-
+    let reads = read_indices(batch);
+    let start = batch.arrival_us.first().copied().unwrap_or(0);
+    let idx = arriving(batch, &reads, 0, start + cfg.check_interval_us);
+    let initial = ReadView::Indexed { batch, idx };
+    let (mut model, _) = run_view(&initial, &cfg.pipeline, cache)?;
+    deployed(&initial);
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
+
+    let mean = |accs: &[f64]| accs.iter().sum::<f64>() / accs.len() as f64;
     let mut report_acc: Vec<f64> = Vec::new();
     let mut report_end = start + cfg.report_window_us;
-    each_window(records, cfg.check_interval_us, |end, window| {
-        if let Some(acc) = window_accuracy(&model, window, &label_cfg, cache) {
+    each_window(batch, &reads, cfg.check_interval_us, |end, idx| {
+        let window = ReadView::Indexed { batch, idx };
+        let acc = window_accuracy(&model, &window, &label_cfg, cache);
+        if let Some(acc) = acc {
             report_acc.push(acc);
             if end >= report_end {
-                let mean = report_acc.iter().sum::<f64>() / report_acc.len() as f64;
-                report.accuracy_series.push((end, mean));
+                report.accuracy_series.push((end, mean(&report_acc)));
                 report_acc.clear();
                 report_end = end + cfg.report_window_us;
             }
         }
-        // Feed this interval's feature rows to the detector.
-        let reads: Vec<IoRecord> = window.iter().copied().filter(IoRecord::is_read).collect();
-        let labels = vec![false; reads.len()];
-        let keep = vec![true; reads.len()];
-        let (data, _) = build_dataset_view(&ReadView::from(&reads), &labels, &keep, &spec, 1);
-        if let Some(det) = detector.as_mut() {
-            for i in 0..data.rows() {
-                det.observe(data.row(i));
-            }
-            if det.drifted() {
-                let lo = end.saturating_sub(cfg.retrain_window_us);
-                let slice: Vec<IoRecord> = records
-                    .iter()
-                    .copied()
-                    .filter(|r| r.arrival_us >= lo && r.arrival_us < end)
-                    .collect();
-                if let Ok((m, _)) = run_view(&ReadView::from(&slice), &cfg.pipeline, cache) {
-                    model = m;
-                    report.retrain_times_us.push(end);
-                    report.retrain_sizes.push(slice.len());
-                    detector = DriftDetector::fit_from_records(&slice, &spec);
-                }
+        if trigger(&window, acc) {
+            let lo = end.saturating_sub(cfg.retrain_window_us);
+            let idx = arriving(batch, &reads, lo, end);
+            let trailing = ReadView::Indexed { batch, idx };
+            if let Ok((m, _)) = run_view(&trailing, &cfg.pipeline, cache) {
+                model = m;
+                report.retrain_times_us.push(end);
+                // I/Os the window held, writes included.
+                let before = |t: u64| batch.arrival_us.partition_point(|&a| a < t);
+                report.retrain_sizes.push(before(end) - before(lo));
+                deployed(&trailing);
             }
         }
     });
     if !report_acc.is_empty() {
-        let mean = report_acc.iter().sum::<f64>() / report_acc.len() as f64;
-        report.accuracy_series.push((report_end, mean));
+        report.accuracy_series.push((report_end, mean(&report_acc)));
     }
     Ok(report)
 }
 
-/// Iterates `records` in consecutive windows of `width_us`, invoking the
-/// callback with each non-empty window.
-fn each_window<F: FnMut(u64, &[IoRecord])>(records: &[IoRecord], width_us: u64, mut f: F) {
-    if records.is_empty() {
+/// Walks the records `idx` selects out of `batch` in consecutive windows of
+/// `width_us`, anchored at the log's first arrival, handing the callback
+/// each non-empty window's end time and sub-slice of `idx`. Windows in
+/// which nothing selected arrives are skipped, not reported empty.
+fn each_window<F: FnMut(u64, &[u32])>(batch: &RecordBatch, idx: &[u32], width_us: u64, mut f: F) {
+    let Some(&start) = batch.arrival_us.first() else {
         return;
-    }
-    let start = records[0].arrival_us;
-    let mut lo_idx = 0usize;
+    };
     let mut end = start + width_us;
-    for i in 0..=records.len() {
-        let past = i == records.len() || records[i].arrival_us >= end;
-        if past {
-            if i > lo_idx {
-                f(end, &records[lo_idx..i]);
-            }
-            lo_idx = i;
-            if i == records.len() {
-                break;
-            }
-            while records[i].arrival_us >= end {
-                end += width_us;
-            }
+    let mut lo = 0;
+    while lo < idx.len() {
+        let first = batch.arrival_us[idx[lo] as usize];
+        if first >= end {
+            end += ((first - end) / width_us + 1) * width_us;
         }
+        let len = idx[lo..].partition_point(|&i| batch.arrival_us[i as usize] < end);
+        f(end, &idx[lo..lo + len]);
+        lo += len;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::collect;
+    use crate::collect::{collect_batch, IoRecord};
+    use crate::features::build_dataset_reference;
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::WorkloadProfile;
 
-    fn long_records(secs: u64) -> Vec<IoRecord> {
+    fn long_records(secs: u64) -> RecordBatch {
         let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
             .seed(31)
             .duration_secs(secs)
@@ -340,7 +328,7 @@ mod tests {
         let mut cfg = DeviceConfig::consumer_nvme();
         cfg.free_pool = 1 << 30;
         let mut dev = SsdDevice::new(cfg, 32);
-        collect(&trace, &mut dev)
+        collect_batch(&trace, &mut dev)
     }
 
     fn quick_cfg() -> RetrainConfig {
@@ -413,12 +401,92 @@ mod tests {
         assert_eq!(s_plain.accuracy_series, s_shared.accuracy_series);
     }
 
+    /// `(end, len)` of every window [`each_window`] reports.
+    fn windows(batch: &RecordBatch, idx: &[u32], width_us: u64) -> Vec<(u64, usize)> {
+        let mut seen = Vec::new();
+        each_window(batch, idx, width_us, |end, w| seen.push((end, w.len())));
+        seen
+    }
+
     #[test]
     fn windows_partition_records() {
         let records = long_records(30);
-        let mut counted = 0;
-        each_window(&records, 7_000_000, |_, w| counted += w.len());
-        assert_eq!(counted, records.len());
+        let all: Vec<u32> = (0..records.len() as u32).collect();
+        // Pinned from the row-form walk this one replaced. The log opens
+        // with a write at 154 us: windows stay anchored there when the
+        // walk is over the reads alone.
+        let ends = [7_000_154, 14_000_154, 21_000_154, 28_000_154, 35_000_154];
+        let sizes = [77_194, 63_280, 107_611, 85_414, 18_069];
+        let reads = [25_444, 20_978, 35_539, 28_261, 5_976];
+        assert_eq!(sizes.iter().sum::<usize>(), records.len());
+        assert_eq!(
+            windows(&records, &all, 7_000_000),
+            ends.into_iter().zip(sizes).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            windows(&records, &read_indices(&records), 7_000_000),
+            ends.into_iter().zip(reads).collect::<Vec<_>>()
+        );
+        // Consecutive windows are contiguous sub-slices of the index list.
+        let mut next = 0u32;
+        each_window(&records, &all, 7_000_000, |_, w| {
+            assert!(w.iter().copied().eq(next..next + w.len() as u32));
+            next += w.len() as u32;
+        });
+        assert_eq!(next as usize, records.len());
+    }
+
+    #[test]
+    fn an_arrival_gap_yields_no_empty_window() {
+        let at = |arrival_us| IoRecord {
+            arrival_us,
+            finish_us: arrival_us + 10,
+            size: 4096,
+            op: heimdall_trace::IoOp::Read,
+            queue_len: 0,
+            latency_us: 10,
+            throughput: 409.6,
+            truth_busy: false,
+        };
+        // Three arrivals in the first window, then silence for three and a
+        // half widths, then one exactly on a window boundary.
+        let batch = RecordBatch::from_records(&[at(5), at(6), at(104), at(460), at(505)]);
+        let all: Vec<u32> = (0..5).collect();
+        assert_eq!(
+            windows(&batch, &all, 100),
+            vec![(105, 3), (505, 1), (605, 1)]
+        );
+        assert!(windows(&RecordBatch::new(), &[], 100).is_empty());
+        assert!(windows(&batch, &[], 100).is_empty());
+    }
+
+    #[test]
+    fn a_log_with_writes_does_not_drift_from_itself() {
+        // Regression: the detector's reference was built over the full
+        // window (write completions in the history ring) while every check
+        // fed it rows built over the window's reads, so a log read as
+        // drifted from itself (PSI >= 0.25 on every check interval of
+        // Fig 17). The observing side here is the row-form reference
+        // builder over the reads — what a deployed admitter sees.
+        let batch = long_records(10);
+        let idx = read_indices(&batch);
+        assert!(
+            (batch.len() - idx.len()) * 4 >= batch.len(),
+            "needs >= 25% writes"
+        );
+        let reads = ReadView::Indexed {
+            batch: &batch,
+            idx: &idx,
+        };
+        let mut det = DriftDetector::fit(&drift_rows(&reads)).unwrap();
+        let rows: Vec<IoRecord> = idx.iter().map(|&i| batch.get(i as usize)).collect();
+        let (labels, keep) = (vec![false; rows.len()], vec![true; rows.len()]);
+        let (seen, _) = build_dataset_reference(&rows, &labels, &keep, &FeatureSpec::heimdall());
+        for i in 0..seen.rows() {
+            det.observe(seen.row(i));
+        }
+        assert!(det.psi() < DriftDetector::SIGNIFICANT, "psi {}", det.psi());
+        assert!(!det.drifted());
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl Fnv {
 /// stages, so cells differing only in those still share one artifact.
 ///
 /// Hashes the identical byte stream for the same logical records whatever
-/// the [`ReadView`] form, so a columnar batch and a materialized record
-/// slice of the same reads share cache entries.
+/// the [`ReadView`] form, so a batch of reads and the read indices of a
+/// log with writes share cache entries.
 pub fn stage_key_view(view: &ReadView<'_>, cfg: &PipelineConfig) -> u64 {
     let mut h = Fnv::new();
     let n = view.len();
@@ -141,7 +141,7 @@ impl StageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::IoRecord;
+    use crate::collect::{IoRecord, RecordBatch};
     use crate::pipeline::{FeatureMode, LabelingMode};
     use heimdall_trace::IoOp;
 
@@ -173,6 +173,7 @@ mod tests {
         let a = vec![record(0, 100), record(10, 120)];
         let mut b = a.clone();
         b[1].latency_us += 1;
+        let (a, b) = (RecordBatch::from_records(&a), RecordBatch::from_records(&b));
         let (a, b) = (ReadView::from(&a), ReadView::from(&b));
         assert_ne!(stage_key_view(&a, &cfg), stage_key_view(&b, &cfg));
         let mut cutoff = cfg.clone();
@@ -190,7 +191,7 @@ mod tests {
     #[test]
     fn key_ignores_model_side_config() {
         let cfg = PipelineConfig::heimdall();
-        let recs = vec![record(0, 100)];
+        let recs = RecordBatch::from_records(&[record(0, 100)]);
         let mut cell = cfg.clone();
         cell.seed = 999;
         cell.train.epochs = 1;

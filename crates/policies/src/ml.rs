@@ -409,8 +409,8 @@ impl Policy for LinnOsHedgePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heimdall_core::collect::collect;
-    use heimdall_core::pipeline::{run, PipelineConfig};
+    use heimdall_core::collect::collect_batch;
+    use heimdall_core::pipeline::{run_batch, PipelineConfig};
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::{IoOp, WorkloadProfile, PAGE_SIZE};
@@ -423,8 +423,8 @@ mod tests {
         let mut dcfg = DeviceConfig::consumer_nvme();
         dcfg.free_pool = 1 << 30;
         let mut dev = SsdDevice::new(dcfg, 52);
-        let records = collect(&trace, &mut dev);
-        run(&records, cfg).unwrap().0
+        let records = collect_batch(&trace, &mut dev);
+        run_batch(&records, cfg).unwrap().0
     }
 
     fn req(id: u64, size: u32) -> IoRequest {

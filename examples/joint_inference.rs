@@ -6,9 +6,9 @@
 //! cargo run --release -p heimdall-examples --bin joint_inference
 //! ```
 
-use heimdall_core::collect::collect;
+use heimdall_core::collect::collect_batch;
 use heimdall_core::model::OnlineAdmitter;
-use heimdall_core::pipeline::{run, PipelineConfig};
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
@@ -19,7 +19,7 @@ fn main() {
         .duration_secs(30)
         .build();
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 18);
-    let records = collect(&trace, &mut device);
+    let records = collect_batch(&trace, &mut device);
 
     println!(
         "{:<8} {:>10} {:>14} {:>16}",
@@ -28,7 +28,7 @@ fn main() {
     for p in [1usize, 3, 5, 7, 9] {
         let mut cfg = PipelineConfig::heimdall();
         cfg.joint = p;
-        let (model, report) = run(&records, &cfg).expect("trainable trace");
+        let (model, report) = run_batch(&records, &cfg).expect("trainable trace");
         println!(
             "{:<8} {:>10.3} {:>14} {:>16.0}",
             p,
@@ -41,7 +41,7 @@ fn main() {
     // Group decisions at P = 5: one inference admits five I/Os.
     let mut cfg = PipelineConfig::heimdall();
     cfg.joint = 5;
-    let (model, _) = run(&records, &cfg).expect("trainable trace");
+    let (model, _) = run_batch(&records, &cfg).expect("trainable trace");
     let mut admitter = OnlineAdmitter::new(model);
     for _ in 0..3 {
         admitter.on_completion(120, 2, 4096);

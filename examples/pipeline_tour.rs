@@ -6,7 +6,7 @@
 //! cargo run --release -p heimdall-examples --bin pipeline_tour
 //! ```
 
-use heimdall_core::collect::{collect, reads_only, ReadView};
+use heimdall_core::collect::{collect_batch, read_indices, ReadView};
 use heimdall_core::features::{build_dataset_view, feature_correlations, FeatureSpec};
 use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{
@@ -25,11 +25,12 @@ fn main() {
         .duration_secs(30)
         .build();
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 10);
-    let reads = reads_only(&collect(&trace, &mut device));
-    println!("[DC] collected {} read records", reads.len());
-    // Every stage reads the log through a `ReadView`; a row-form log
-    // converts once, here.
-    let view = ReadView::from(&reads);
+    let batch = &collect_batch(&trace, &mut device);
+    // Every stage reads the log through a `ReadView`; the reads are an
+    // index projection of it, not a copy.
+    let idx = &read_indices(batch);
+    println!("[DC] collected {} read records", idx.len());
+    let view = ReadView::Indexed { batch, idx };
 
     // --- Stage LA: accurate (period-based) labeling with tuned thresholds.
     let thresholds = tune_thresholds_view(&view);

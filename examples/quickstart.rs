@@ -5,9 +5,9 @@
 //! cargo run --release -p heimdall-examples --bin quickstart
 //! ```
 
-use heimdall_core::collect::collect;
+use heimdall_core::collect::collect_batch;
 use heimdall_core::model::OnlineAdmitter;
-use heimdall_core::pipeline::{run, PipelineConfig};
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
@@ -26,7 +26,7 @@ fn main() {
 
     // 2. Profile the device: replay the trace, log every I/O (§2).
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 7);
-    let records = collect(&trace, &mut device);
+    let records = collect_batch(&trace, &mut device);
     println!(
         "profiled {} I/Os ({} GC events on the device)",
         records.len(),
@@ -35,7 +35,8 @@ fn main() {
 
     // 3. Run the full Heimdall pipeline: period labeling, 3-stage noise
     //    filtering, feature engineering, training, quantization (§3, §4).
-    let (model, report) = run(&records, &PipelineConfig::heimdall()).expect("trainable trace");
+    let (model, report) =
+        run_batch(&records, &PipelineConfig::heimdall()).expect("trainable trace");
     println!(
         "trained: test ROC-AUC {:.3}, {} train rows, slow fraction {:.1}%",
         report.metrics.roc_auc,

@@ -6,7 +6,7 @@
 //! cargo run --release -p heimdall-examples --bin retraining
 //! ```
 
-use heimdall_core::collect::collect;
+use heimdall_core::collect::collect_batch;
 use heimdall_core::pipeline::PipelineConfig;
 use heimdall_core::retrain::{evaluate_retraining, evaluate_static, RetrainConfig};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -30,7 +30,7 @@ fn main() {
         .duration_secs(secs)
         .build();
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 24);
-    let records = collect(&trace, &mut device);
+    let records = collect_batch(&trace, &mut device);
     println!("{} records over {secs}s", records.len());
 
     let cfg = RetrainConfig {

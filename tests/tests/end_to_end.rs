@@ -4,8 +4,8 @@
 
 use heimdall_cluster::replayer::{merge_homed, replay_homed};
 use heimdall_cluster::train::{fresh_devices, train_homed};
-use heimdall_core::collect::collect;
-use heimdall_core::pipeline::{run, PipelineConfig};
+use heimdall_core::collect::collect_batch;
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
 use heimdall_integration::gen::contention_trace;
 use heimdall_policies::{Baseline, HeimdallPolicy, LinnOsPolicy, Policy, RandomSelect};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -16,8 +16,8 @@ use heimdall_trace::WorkloadProfile;
 fn full_pipeline_produces_deployable_model() {
     let trace = contention_trace(100, 25);
     let mut device = SsdDevice::new(DeviceConfig::consumer_nvme(), 101);
-    let records = collect(&trace, &mut device);
-    let (model, report) = run(&records, &PipelineConfig::heimdall()).expect("trains");
+    let records = collect_batch(&trace, &mut device);
+    let (model, report) = run_batch(&records, &PipelineConfig::heimdall()).expect("trains");
 
     // Paper-level invariants: sub-28KB model, 3472 multiplications,
     // meaningful accuracy on the unseen half.

@@ -8,25 +8,27 @@
 //! parameter streams.
 //!
 //! Every stage takes a [`ReadView`], so the second contract here is form
-//! independence: the row slice, the whole batch and an indexed batch
-//! projection of the same logical log must give identical results.
+//! independence: the whole batch and an index projection that selects the
+//! same logical log out of a decoy-padded batch must give identical
+//! results. The row-form references never see a view, which is what makes
+//! them the independent party.
 //!
 //! Covered seams:
 //!   - all three builders (heimdall spec, LinnOS digitized, joint groups)
 //!     against their references on a real collected trace;
 //!   - sharded fills at ragged job counts against the single-shard build,
-//!     for all three builders over all three view forms;
-//!   - the batch pipeline (`run_batch`, columnar end to end) against the
-//!     row-slice pipeline (`run`);
-//!   - `run_view` through a `StageCache` over the slice and batch forms of
-//!     a log with writes, against `run`/`run_batch`, second call a hit;
-//!   - `stage_key_view` across the three forms (the stage-cache contract:
-//!     same logical log, same cache cell);
+//!     for all three builders over both view forms;
+//!   - `run_batch` against `run_view` over the index projection, end to
+//!     end (parameters, scaler, threshold, report);
+//!   - `run_view` through a `StageCache` over both forms of a log with
+//!     writes, against `run_batch`, second and third call a hit;
+//!   - `stage_key_view` across the forms (the stage-cache contract: same
+//!     logical log, same cache cell);
 //!   - tuned thresholds, labels and the noise-filter keep mask over the
-//!     indexed `read_indices` view and the batch view against the
-//!     `reads_only` slice.
+//!     `read_indices` view of a log against a batch holding only its
+//!     reads.
 
-use heimdall_core::collect::{collect, read_indices, reads_only, ReadView, RecordBatch};
+use heimdall_core::collect::{collect_batch, read_indices, ReadView, RecordBatch};
 use heimdall_core::features::{
     build_dataset_reference, build_dataset_view, build_joint_dataset_reference,
     build_joint_dataset_view, build_linnos_dataset_reference, build_linnos_dataset_view,
@@ -34,7 +36,7 @@ use heimdall_core::features::{
 };
 use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
-use heimdall_core::pipeline::{run, run_batch, run_view, PipelineConfig, PipelineReport, Trained};
+use heimdall_core::pipeline::{run_batch, run_view, PipelineConfig, PipelineReport, Trained};
 use heimdall_core::stage_cache::stage_key_view;
 use heimdall_core::{IoRecord, StageCache};
 use heimdall_integration::gen::ViewForms;
@@ -43,7 +45,7 @@ use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
 
-fn collected(profile: WorkloadProfile, seed: u64, secs: u64) -> Vec<IoRecord> {
+fn collected(profile: WorkloadProfile, seed: u64, secs: u64) -> RecordBatch {
     let trace = TraceBuilder::from_profile(profile)
         .seed(seed)
         .duration_secs(secs)
@@ -51,7 +53,15 @@ fn collected(profile: WorkloadProfile, seed: u64, secs: u64) -> Vec<IoRecord> {
     let mut cfg = DeviceConfig::consumer_nvme();
     cfg.free_pool = 1 << 30;
     let mut dev = SsdDevice::new(cfg, seed ^ 0xfea7);
-    collect(&trace, &mut dev)
+    collect_batch(&trace, &mut dev)
+}
+
+/// The reads of a log, as rows — what the `*_reference` builders take.
+fn read_rows(batch: &RecordBatch) -> Vec<IoRecord> {
+    read_indices(batch)
+        .iter()
+        .map(|&i| batch.get(i as usize))
+        .collect()
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {
@@ -66,9 +76,9 @@ fn assert_dataset_eq(got: &Dataset, want: &Dataset, what: &str) {
 
 /// Labeled read stream the builder tests share.
 fn labeled_reads(seed: u64) -> (Vec<IoRecord>, Vec<bool>, Vec<bool>) {
-    let records = collected(WorkloadProfile::AlibabaLike, seed, 6);
-    let reads = reads_only(&records);
-    let view = ReadView::from(&reads);
+    let reads = read_rows(&collected(WorkloadProfile::AlibabaLike, seed, 6));
+    let batch = RecordBatch::from_records(&reads);
+    let view = ReadView::from(&batch);
     let th = tune_thresholds_view(&view);
     let labels = period_label_view(&view, &th);
     // A keep mask with holes, like the filtering stage produces.
@@ -79,43 +89,44 @@ fn labeled_reads(seed: u64) -> (Vec<IoRecord>, Vec<bool>, Vec<bool>) {
 #[test]
 fn columnar_builders_match_references_on_collected_trace() {
     let (reads, labels, keep) = labeled_reads(71);
-    let view = ReadView::from(&reads);
+    for (form, view) in ViewForms::of(&reads).views() {
+        for spec in [
+            FeatureSpec::heimdall(),
+            FeatureSpec::full(3),
+            FeatureSpec::with_depth(5),
+        ] {
+            let (want, want_src) = build_dataset_reference(&reads, &labels, &keep, &spec);
+            let (got, got_src) = build_dataset_view(&view, &labels, &keep, &spec, 1);
+            assert_eq!(got_src, want_src, "{form}: sources ({} cols)", spec.dim());
+            assert_dataset_eq(&got, &want, &format!("{form}: heimdall builder"));
+        }
 
-    for spec in [
-        FeatureSpec::heimdall(),
-        FeatureSpec::full(3),
-        FeatureSpec::with_depth(5),
-    ] {
-        let (want, want_src) = build_dataset_reference(&reads, &labels, &keep, &spec);
-        let (got, got_src) = build_dataset_view(&view, &labels, &keep, &spec, 1);
-        assert_eq!(got_src, want_src, "sources diverged ({} cols)", spec.dim());
-        assert_dataset_eq(&got, &want, "heimdall builder");
+        let (want, want_src) = build_linnos_dataset_reference(&reads, &labels, &keep);
+        let (got, got_src) = build_linnos_dataset_view(&view, &labels, &keep, 1);
+        assert_eq!(got_src, want_src, "{form}");
+        assert_dataset_eq(&got, &want, &format!("{form}: linnos builder"));
+
+        let (want, want_groups) = build_joint_dataset_reference(&reads, &labels, &keep, 3, 4);
+        let (got, got_groups) = build_joint_dataset_view(&view, &labels, &keep, 3, 4, 1);
+        assert_eq!(got_groups, want_groups, "{form}");
+        assert_dataset_eq(&got, &want, &format!("{form}: joint builder"));
     }
-
-    let (want, want_src) = build_linnos_dataset_reference(&reads, &labels, &keep);
-    let (got, got_src) = build_linnos_dataset_view(&view, &labels, &keep, 1);
-    assert_eq!(got_src, want_src);
-    assert_dataset_eq(&got, &want, "linnos builder");
-
-    let (want, want_groups) = build_joint_dataset_reference(&reads, &labels, &keep, 3, 4);
-    let (got, got_groups) = build_joint_dataset_view(&view, &labels, &keep, 3, 4, 1);
-    assert_eq!(got_groups, want_groups);
-    assert_dataset_eq(&got, &want, "joint builder");
 }
 
 #[test]
 fn sharded_builds_are_byte_identical_at_ragged_job_counts() {
     let (reads, labels, keep) = labeled_reads(72);
-    let slice = ReadView::from(&reads);
+    let forms = ViewForms::of(&reads);
+    let [(_, whole), _] = forms.views();
     let spec = FeatureSpec::heimdall();
-    let (serial, serial_src) = build_dataset_view(&slice, &labels, &keep, &spec, 1);
-    let (lin1, _) = build_linnos_dataset_view(&slice, &labels, &keep, 1);
-    let (joint1, _) = build_joint_dataset_view(&slice, &labels, &keep, 3, 5, 1);
+    let (serial, serial_src) = build_dataset_view(&whole, &labels, &keep, &spec, 1);
+    let (lin1, _) = build_linnos_dataset_view(&whole, &labels, &keep, 1);
+    let (joint1, _) = build_joint_dataset_view(&whole, &labels, &keep, 3, 5, 1);
     // More jobs than cores, jobs that don't divide the row count, and a
-    // job count larger than some shards can hold rows for — over every
-    // view form, against the single-shard slice build.
+    // job count larger than some shards can hold rows for — over both
+    // view forms, against the single-shard whole-batch build.
     let mut saw_ragged = false;
-    for (form, view) in ViewForms::of(&reads).views(&reads) {
+    for (form, view) in forms.views() {
         for jobs in [1usize, 2, 3, 5, 7, 16, 64] {
             saw_ragged |= serial.rows() % jobs != 0;
             let what = format!("{form} jobs={jobs}");
@@ -187,10 +198,13 @@ fn assert_trained_eq(
     );
 }
 
+/// `run_batch` over a log against `run_view` over the projection that
+/// selects the same log out of the decoy-padded batch.
 #[test]
 fn batch_pipeline_matches_slice_pipeline_end_to_end() {
-    let records = collected(WorkloadProfile::TencentLike, 73, 6);
-    let batch = RecordBatch::from_records(&records);
+    let batch = collected(WorkloadProfile::TencentLike, 73, 6);
+    let forms = ViewForms::of(&batch.to_records());
+    let [_, (_, projection)] = forms.views();
     for (name, cfg) in [
         ("heimdall", PipelineConfig::heimdall()),
         ("linnos", PipelineConfig::linnos_baseline()),
@@ -200,37 +214,39 @@ fn batch_pipeline_matches_slice_pipeline_end_to_end() {
             c
         }),
     ] {
-        let want = run(&records, &cfg).expect("slice pipeline trains");
-        let got = run_batch(&batch, &cfg).expect("batch pipeline trains");
+        let want = run_batch(&batch, &cfg).expect("batch pipeline trains");
+        let got = run_view(&projection, &cfg, None).expect("projected pipeline trains");
         assert_trained_eq(&got, &want, name);
     }
 }
 
 #[test]
 fn cached_run_view_matches_run_and_run_batch_on_a_log_with_writes() {
-    let records = collected(WorkloadProfile::TencentLike, 76, 6);
+    let batch = collected(WorkloadProfile::TencentLike, 76, 6);
+    let reads = read_indices(&batch);
     assert!(
-        records.iter().any(|r| !r.is_read()),
+        reads.len() < batch.len(),
         "the log must contain writes for run_view to drop"
     );
-    let batch = RecordBatch::from_records(&records);
     let cfg = PipelineConfig::heimdall();
-    let want = run(&records, &cfg).expect("slice pipeline trains");
-    let want_batch = run_batch(&batch, &cfg).expect("batch pipeline trains");
-    assert_trained_eq(&want_batch, &want, "run_batch vs run");
+    let want = run_batch(&batch, &cfg).expect("batch pipeline trains");
 
     let cache = StageCache::new();
-    let via_slice = run_view(&ReadView::from(&records), &cfg, Some(&cache)).expect("trains");
-    assert_eq!((cache.hits(), cache.misses()), (0, 1), "first call builds");
-    assert_trained_eq(&via_slice, &want, "cached slice view");
-    // The batch form drops its writes by index, yet hashes to the same
-    // stage key as the filtered slice: the second call must be a hit.
     let via_batch = run_view(&ReadView::from(&batch), &cfg, Some(&cache)).expect("trains");
-    assert_eq!((cache.hits(), cache.misses()), (1, 1), "second call hits");
+    assert_eq!((cache.hits(), cache.misses()), (0, 1), "first call builds");
     assert_trained_eq(&via_batch, &want, "cached batch view");
+    // The reads alone, by index, hash to the same stage key as the batch
+    // after its write drop: the second call must be a hit.
+    let read_view = ReadView::Indexed {
+        batch: &batch,
+        idx: &reads,
+    };
+    let via_reads = run_view(&read_view, &cfg, Some(&cache)).expect("trains");
+    assert_eq!((cache.hits(), cache.misses()), (1, 1), "second call hits");
+    assert_trained_eq(&via_reads, &want, "cached read-index view");
     // An index projection that still selects writes composes with the drop.
-    let forms = ViewForms::of(&records);
-    let [.., (_, indexed)] = forms.views(&records);
+    let forms = ViewForms::of(&batch.to_records());
+    let [_, (_, indexed)] = forms.views();
     let via_index = run_view(&indexed, &cfg, Some(&cache)).expect("trains");
     assert_eq!((cache.hits(), cache.misses()), (2, 1), "third call hits");
     assert_trained_eq(&via_index, &want, "cached indexed view");
@@ -238,17 +254,16 @@ fn cached_run_view_matches_run_and_run_batch_on_a_log_with_writes() {
 
 #[test]
 fn stage_key_is_identical_across_view_forms() {
-    let records = collected(WorkloadProfile::TencentLike, 74, 4);
-    let reads = reads_only(&records);
-    let batch = RecordBatch::from_records(&records);
+    let batch = collected(WorkloadProfile::TencentLike, 74, 4);
     let idx = read_indices(&batch);
-    let read_batch = RecordBatch::from_records(&reads);
+    let reads = read_rows(&batch);
+    let forms = ViewForms::of(&reads);
+    let [(_, read_batch), (_, projection)] = forms.views();
     for cfg in [
         PipelineConfig::heimdall(),
         PipelineConfig::linnos_baseline(),
     ] {
-        let want = stage_key_view(&ReadView::from(&reads), &cfg);
-        let via_batch = stage_key_view(&ReadView::Batch(&read_batch), &cfg);
+        let want = stage_key_view(&read_batch, &cfg);
         let via_index = stage_key_view(
             &ReadView::Indexed {
                 batch: &batch,
@@ -256,48 +271,43 @@ fn stage_key_is_identical_across_view_forms() {
             },
             &cfg,
         );
-        assert_eq!(via_batch, want, "batch view key diverged");
-        assert_eq!(via_index, want, "indexed view key diverged");
+        assert_eq!(via_index, want, "read-index view key diverged");
+        assert_eq!(
+            stage_key_view(&projection, &cfg),
+            want,
+            "padded projection key diverged"
+        );
     }
     // Different logical logs must not collide just because views differ.
     assert_ne!(
         stage_key_view(&ReadView::Batch(&batch), &PipelineConfig::heimdall()),
-        stage_key_view(&ReadView::from(&reads), &PipelineConfig::heimdall()),
+        stage_key_view(&read_batch, &PipelineConfig::heimdall()),
         "full log and reads-only log share a key"
     );
 }
 
 #[test]
-fn indexed_view_labeling_matches_reads_only_slice() {
-    // Write-heavy profile: the indexed view is exactly the path that lets
-    // such traces skip the reads_only clone.
-    let records = collected(WorkloadProfile::TencentLike, 75, 5);
-    let reads = reads_only(&records);
-    let batch = RecordBatch::from_records(&records);
+fn read_index_view_labeling_matches_a_batch_of_the_reads() {
+    // Write-heavy profile: the read-index view is exactly the path that
+    // lets such traces label their reads without copying them out.
+    let batch = collected(WorkloadProfile::TencentLike, 75, 5);
     let idx = read_indices(&batch);
-    assert_eq!(idx.len(), reads.len());
-    let read_batch = RecordBatch::from_records(&reads);
-    let slice = ReadView::from(&reads);
+    assert!(idx.len() < batch.len(), "the log must contain writes");
+    let read_batch = RecordBatch::from_records(&read_rows(&batch));
+    let whole = ReadView::Batch(&read_batch);
+    let indexed = ReadView::Indexed {
+        batch: &batch,
+        idx: &idx,
+    };
 
-    let want_th = tune_thresholds_view(&slice);
-    let want_labels = period_label_view(&slice, &want_th);
-    let (want_keep, want_stats) = filter_view(&slice, &want_labels, &FilterConfig::default());
-    for (form, view) in [
-        (
-            "indexed",
-            ReadView::Indexed {
-                batch: &batch,
-                idx: &idx,
-            },
-        ),
-        ("batch", ReadView::Batch(&read_batch)),
-    ] {
-        let got_th = tune_thresholds_view(&view);
-        assert_eq!(got_th, want_th, "{form}: tuned thresholds diverged");
-        let got_labels = period_label_view(&view, &got_th);
-        assert_eq!(got_labels, want_labels, "{form}: period labels diverged");
-        let (got_keep, got_stats) = filter_view(&view, &got_labels, &FilterConfig::default());
-        assert_eq!(got_keep, want_keep, "{form}: keep mask diverged");
-        assert_eq!(got_stats, want_stats, "{form}: filter stats diverged");
-    }
+    let want_th = tune_thresholds_view(&whole);
+    let want_labels = period_label_view(&whole, &want_th);
+    let (want_keep, want_stats) = filter_view(&whole, &want_labels, &FilterConfig::default());
+    let got_th = tune_thresholds_view(&indexed);
+    assert_eq!(got_th, want_th, "tuned thresholds diverged");
+    let got_labels = period_label_view(&indexed, &got_th);
+    assert_eq!(got_labels, want_labels, "period labels diverged");
+    let (got_keep, got_stats) = filter_view(&indexed, &got_labels, &FilterConfig::default());
+    assert_eq!(got_keep, want_keep, "keep mask diverged");
+    assert_eq!(got_stats, want_stats, "filter stats diverged");
 }

@@ -17,7 +17,6 @@
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
 use heimdall_cluster::EventQueue;
-use heimdall_core::{ReadView, RecordBatch};
 use heimdall_integration::diff::{random_model, random_stream};
 use heimdall_integration::gen::{random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
@@ -378,7 +377,8 @@ fn prop_scaler_bulk_matches_row_transform() {
 }
 
 /// Property 6: The precomputed-scratch threshold tuner is bitwise-identical to the
-/// rebuild-per-candidate reference on arbitrary record streams.
+/// rebuild-per-candidate reference on arbitrary record streams, over both
+/// `ReadView` forms.
 #[test]
 fn prop_threshold_tuner_matches_reference() {
     check(
@@ -388,13 +388,14 @@ fn prop_threshold_tuner_matches_reference() {
         |&seed| {
             let records =
                 heimdall_integration::gen::random_records(&mut Rng64::new(seed ^ 0x74756e65));
-            let reference = heimdall_core::labeling::tune_thresholds_reference(&records);
-            let batch = RecordBatch::from_records(&records);
-            for view in [ReadView::from(&records), ReadView::from(&batch)] {
+            let forms = ViewForms::of(&records);
+            let [(_, whole), _] = forms.views();
+            let reference = heimdall_core::labeling::tune_thresholds_reference(&whole);
+            for (form, view) in forms.views() {
                 let fast = heimdall_core::labeling::tune_thresholds_view(&view);
                 if fast != reference {
                     return Err(format!(
-                        "tuner diverged on {} records: {fast:?} vs {reference:?}",
+                        "{form}: tuner diverged on {} records: {fast:?} vs {reference:?}",
                         records.len()
                     ));
                 }
@@ -861,9 +862,9 @@ fn adversarial_log(seed: u64) -> (Vec<heimdall_core::IoRecord>, Vec<bool>, Vec<b
 /// Property 14: The compiled column-streaming dataset builder is bitwise-identical
 /// to the retained `row_into` reference over adversarial logs, random
 /// feature layouts (duplicate columns, history offsets at and beyond the
-/// depth), random depths, any shard count, and every [`ReadView`] form
-/// (slice, batch, and an index projection out of a batch interleaved with
-/// decoy records).
+/// depth), random depths, any shard count, and both `ReadView` forms
+/// (the whole batch, and an index projection out of a batch interleaved
+/// with decoy records).
 #[test]
 fn prop_columnar_featurization_matches_row_reference() {
     use heimdall_core::features::{
@@ -898,7 +899,7 @@ fn prop_columnar_featurization_matches_row_reference() {
             };
             let (want, want_src) = build_dataset_reference(&recs, &labels, &keep, &spec);
             let to_bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-            for (form, view) in ViewForms::of(&recs).views(&recs) {
+            for (form, view) in ViewForms::of(&recs).views() {
                 let (got, got_src) = build_dataset_view(&view, &labels, &keep, &spec, *jobs);
                 if got_src != want_src {
                     return Err(format!(

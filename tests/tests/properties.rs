@@ -6,7 +6,7 @@
 //! reproducible, no shrinking.
 
 use heimdall_core::labeling::{device_throughput_view, period_label_view, PeriodThresholds};
-use heimdall_core::ReadView;
+use heimdall_core::{ReadView, RecordBatch};
 use heimdall_integration::gen::{random_records, random_scored, random_trace};
 use heimdall_metrics::{pr_auc, roc_auc, ConfusionMatrix, LatencyRecorder};
 use heimdall_nn::{digitize, Mlp, MlpConfig, QuantizedMlp};
@@ -156,7 +156,7 @@ fn digitize_is_digitwise_reconstructible() {
 fn period_labels_and_health_are_well_formed() {
     let mut rng = Rng64::new(0x9009);
     for case in 0..CASES {
-        let records = random_records(&mut rng);
+        let records = RecordBatch::from_records(&random_records(&mut rng));
         let view = ReadView::from(&records);
         let th = PeriodThresholds::default();
         let labels = period_label_view(&view, &th);
