@@ -379,20 +379,14 @@ fn with_reads<R>(view: &ReadView<'_>, f: impl FnOnce(&ReadView<'_>) -> R) -> R {
     if (0..view.len()).all(|i| view.is_read(i)) {
         return f(view);
     }
-    match *view {
-        ReadView::Batch(batch) => {
-            let idx = read_indices(batch);
-            f(&ReadView::Indexed { batch, idx: &idx })
-        }
+    let (batch, idx) = match *view {
+        ReadView::Batch(batch) => (batch, read_indices(batch)),
         ReadView::Indexed { batch, idx } => {
-            let idx: Vec<u32> = idx
-                .iter()
-                .copied()
-                .filter(|&i| batch.is_read(i as usize))
-                .collect();
-            f(&ReadView::Indexed { batch, idx: &idx })
+            let reads = idx.iter().copied().filter(|&i| batch.is_read(i as usize));
+            (batch, reads.collect())
         }
-    }
+    };
+    f(&ReadView::Indexed { batch, idx: &idx })
 }
 
 /// The label/filter artifact of a write-free view, served through the

@@ -479,7 +479,7 @@ mod tests {
             idx: &idx,
         };
         let mut det = DriftDetector::fit(&drift_rows(&reads)).unwrap();
-        let rows: Vec<IoRecord> = idx.iter().map(|&i| batch.get(i as usize)).collect();
+        let rows: Vec<_> = idx.iter().map(|&i| batch.get(i as usize)).collect();
         let (labels, keep) = (vec![false; rows.len()], vec![true; rows.len()]);
         let (seen, _) = build_dataset_reference(&rows, &labels, &keep, &FeatureSpec::heimdall());
         for i in 0..seen.rows() {
