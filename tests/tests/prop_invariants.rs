@@ -16,7 +16,7 @@
 
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
-use heimdall_cluster::EventQueue;
+use heimdall_cluster::{DeviceLane, EventQueue};
 use heimdall_integration::diff::{random_model, random_stream};
 use heimdall_integration::gen::{random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
@@ -25,7 +25,7 @@ use heimdall_models::automl::Family;
 use heimdall_nn::{
     Activation, Dataset, Mlp, MlpConfig, OutputLayer, QuantizedMlp, Scaler, ScalerKind,
 };
-use heimdall_policies::{Baseline, Hedging};
+use heimdall_policies::{Baseline, Hedging, Policy, RandomSelect};
 use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultPlanError, FaultWindow, SsdDevice};
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, Trace, PAGE_SIZE};
@@ -407,11 +407,13 @@ fn prop_threshold_tuner_matches_reference() {
 
 /// Property 7: Replay conservation under arbitrary valid fault timelines: every
 /// read and write in the stream lands in the result exactly once, no
-/// matter which windows fire.
+/// matter which windows fire or which route shape (plain, random, hedged)
+/// the policy returns, and the per-device lanes add up to the scalar
+/// counters they disaggregate.
 #[test]
 fn prop_replay_conserves_requests_under_faults() {
     let strat = tuple3(
-        u64_in(0..=1 << 40),
+        tuple2(u64_in(0..=1 << 40), usize_in(0..=2)),
         vec_of(u64_in(0..=2_000_000), 0..=6),
         vec_of(u64_in(0..=2_000_000), 0..=6),
     );
@@ -419,14 +421,20 @@ fn prop_replay_conserves_requests_under_faults() {
         "prop_replay_conserves_requests_under_faults",
         &Config::seeded(0x07),
         &strat,
-        |(seed, cuts_a, cuts_b)| {
+        |((seed, policy), cuts_a, cuts_b)| {
             let requests = homed_stream(*seed);
             let reads = requests.iter().filter(|h| h.req.op.is_read()).count();
             let writes = requests.len() - reads;
             let plans = vec![plan_from_cuts(cuts_a, 0), plan_from_cuts(cuts_b, 0)];
             let mut devices =
                 fresh_devices_with_plans(&two_datacenter_cfgs(), &plans, seed ^ 0xfa).unwrap();
-            let result = replay_homed(&requests, &mut devices, &mut Baseline);
+            let mut policy: Box<dyn Policy> = match policy {
+                0 => Box::new(Baseline),
+                1 => Box::new(RandomSelect::new(*seed)),
+                // Short enough that hedges fire into the fault windows.
+                _ => Box::new(Hedging::new(200)),
+            };
+            let result = replay_homed(&requests, &mut devices, policy.as_mut());
             if result.reads.len() != reads {
                 return Err(format!(
                     "read conservation violated: {} accounted of {reads}",
@@ -437,6 +445,30 @@ fn prop_replay_conserves_requests_under_faults() {
                 return Err(format!(
                     "write conservation violated: {} accounted of {writes}",
                     result.writes
+                ));
+            }
+            let lane = |f: fn(&DeviceLane) -> u64| result.per_device.iter().map(f).sum::<u64>();
+            let backups = lane(|l| l.hedge_backups);
+            if backups != result.hedges_fired {
+                return Err(format!(
+                    "{backups} hedge backups on the lanes, {} hedges fired",
+                    result.hedges_fired
+                ));
+            }
+            let away = lane(|l| l.rerouted_away);
+            if away != result.rerouted {
+                return Err(format!(
+                    "{away} reads rerouted away on the lanes, {} rerouted",
+                    result.rerouted
+                ));
+            }
+            // A read is admitted at most once; the ones never admitted were
+            // abandoned, and each of those spent the whole 16-retry budget.
+            let admits = lane(|l| l.admits);
+            if admits > reads as u64 || (reads as u64 - admits) * 16 > result.retries {
+                return Err(format!(
+                    "{admits} admits for {reads} reads with {} retries",
+                    result.retries
                 ));
             }
             Ok(())
