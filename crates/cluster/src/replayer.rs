@@ -92,11 +92,11 @@ enum Deferred {
         queue_len: u32,
         latency_us: u64,
     },
-    /// Fire a hedge duplicate; `primary_finish` is the already-known
-    /// completion time on the primary.
+    /// Fire a hedge duplicate of a read queued on `primary`, whose
+    /// completion time there is already known.
     HedgeFire {
         req: IoRequest,
-        backup: usize,
+        primary: usize,
         primary_finish: u64,
     },
     /// Re-attempt a read that found every replica inside a fail-stop
@@ -412,17 +412,23 @@ fn drain_until<P: ReplayProbe>(
             }
             Deferred::HedgeFire {
                 req,
-                backup,
+                primary,
                 primary_finish,
             } => {
                 // A backup inside a fail-stop outage is substituted by the
-                // next live replica; with none live the read completes on
-                // the primary alone.
+                // next live replica other than the primary's own device (a
+                // duplicate queued behind its original can never finish
+                // first); with none live the read completes on the primary
+                // alone.
+                let n = devices.len();
+                let backup = (primary + 1) % n;
                 let backup = if devices[backup].is_available(at) {
                     Some(backup)
                 } else {
                     result.per_device[backup].fault_rerouted_away += 1;
-                    let live = live_target(devices, backup, at);
+                    let live = (2..n)
+                        .map(|k| (primary + k) % n)
+                        .find(|&d| devices[d].is_available(at));
                     if live.is_some() {
                         result.reroutes_on_fault += 1;
                     }
@@ -695,13 +701,12 @@ fn replay_homed_impl<P: ReplayProbe>(
                             // The duplicate fires at the deadline; the read
                             // completes at the earlier finish. Recording
                             // happens when the hedge fires.
-                            let backup = (p + 1) % devices.len();
                             probe.start();
                             pending.push(
                                 now + timeout_us,
                                 Deferred::HedgeFire {
                                     req: *req,
-                                    backup,
+                                    primary: p,
                                     primary_finish: done.finish_us,
                                 },
                             );
@@ -796,9 +801,10 @@ pub fn replay_homed_reference(
                 }
                 Deferred::HedgeFire {
                     req,
-                    backup,
+                    primary,
                     primary_finish,
                 } => {
+                    let backup = (primary + 1) % devices.len();
                     result.hedges_fired += 1;
                     result.per_device[backup].hedge_backups += 1;
                     let done = devices[backup].submit(&req, ev.at);
@@ -894,13 +900,12 @@ pub fn replay_homed_reference(
                             // The duplicate fires at the deadline; the read
                             // completes at the earlier finish. Recording
                             // happens when the hedge fires.
-                            let backup = (p + 1) % devices.len();
                             push(
                                 &mut pending,
                                 now + timeout_us,
                                 Deferred::HedgeFire {
                                     req: *req,
-                                    backup,
+                                    primary: p,
                                     primary_finish: done.finish_us,
                                 },
                                 &mut seq,

@@ -18,10 +18,10 @@ use heimdall_integration::gen::{
 };
 use heimdall_metrics::LatencyRecorder;
 use heimdall_policies::{
-    Baseline, FallbackPolicy, Hedging, HeimdallPolicy, Policy, RandomSelect, C3,
+    Baseline, DeviceView, FallbackPolicy, Hedging, HeimdallPolicy, Policy, RandomSelect, Route, C3,
 };
 use heimdall_ssd::{DeviceConfig, FaultPlan, SsdDevice};
-use heimdall_trace::Trace;
+use heimdall_trace::{IoOp, IoRequest, Trace};
 
 /// The wrapper's do-no-harm guarantee: on a healthy stream it must be
 /// bitwise-identical to the bare ML policy — same samples in the same
@@ -225,6 +225,76 @@ fn empty_latency_recorder_statistics_are_defined() {
     assert_eq!(r.max(), 0);
     assert_eq!(r.cdf_at(100), 0.0);
     assert!(r.paper_row().iter().all(|&(_, v)| v == 0));
+}
+
+/// [`Hedging`] that logs every submission the engine reports.
+struct SubmitLog {
+    inner: Hedging,
+    /// `(device, request id)` per `on_submit`.
+    submits: Vec<(usize, u64)>,
+}
+
+impl Policy for SubmitLog {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn route_read(
+        &mut self,
+        req: &IoRequest,
+        now: u64,
+        views: &[DeviceView],
+        home: usize,
+    ) -> Route {
+        self.inner.route_read(req, now, views, home)
+    }
+
+    fn on_submit(&mut self, dev: usize, req: &IoRequest, _now: u64) {
+        self.submits.push((dev, req.id));
+    }
+}
+
+/// A hedge duplicate never lands on the device its primary is queued on.
+/// With the only other replica fail-stopped for the whole run there is
+/// nowhere to hedge to: every read completes on its primary alone, and the
+/// dead backup is charged the reroute it could not serve.
+#[test]
+fn hedge_never_duplicates_onto_the_primarys_device() {
+    let requests: Vec<HomedRequest> = (0..400)
+        .map(|i| HomedRequest {
+            req: IoRequest {
+                id: i,
+                arrival_us: i * 100,
+                offset: i << 20,
+                size: 1 << 20,
+                op: IoOp::Read,
+            },
+            home: 0,
+        })
+        .collect();
+    let cfgs = vec![DeviceConfig::datacenter_nvme(); 2];
+    let plans = vec![FaultPlan::none(), FaultPlan::fail_stop(0, 1 << 40)];
+    let mut policy = SubmitLog {
+        inner: Hedging::new(50),
+        submits: Vec::new(),
+    };
+    let r = replay(&requests, &cfgs, &plans, 3, &mut policy);
+    let mut seen = policy.submits.clone();
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(
+        seen.len(),
+        policy.submits.len(),
+        "a request was submitted twice to one device"
+    );
+    assert_eq!(policy.submits.len(), 400);
+    assert_eq!(r.hedges_fired, 0);
+    assert_eq!(r.reads.len(), 400);
+    assert_eq!(r.reroutes_on_fault, 0);
+    assert_eq!(
+        r.per_device[1].fault_rerouted_away, 400,
+        "every 1 MB read outlives the 50 us deadline and finds its backup dead"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -458,11 +528,11 @@ const HOMED_PINNED: &[&str] = &[
     "seed 11 none heimdall: f2d62dbe985d4a7d reads=22668 writes=34729 rerouted=386 hedges=0 inferences=22668 on_fault=0 retries=0 fallback=0 [16041/2/2/0/0/34729/0 6627/384/384/23/0/34729/0]",
     "seed 11 stop0 baseline: 0eb5ba98537e3da5 reads=22668 writes=34729 rerouted=0 hedges=0 inferences=0 on_fault=7623 retries=0 fallback=0 [8036/0/0/0/0/17623/7623 14632/0/0/0/0/34729/0]",
     "seed 11 stop0 random: 1c307c5c29e09a0e reads=22668 writes=34729 rerouted=11232 hedges=0 inferences=0 on_fault=5557 retries=0 fallback=0 [5874/7730/0/0/0/17623/5557 16794/3502/0/0/0/34729/0]",
-    "seed 11 stop0 hedging: 5950cca906237a35 reads=22668 writes=34729 rerouted=0 hedges=1463 inferences=0 on_fault=8822 retries=0 fallback=0 [8036/0/0/0/44/17623/8822 14632/0/0/0/1419/34729/0]",
+    "seed 11 stop0 hedging: be2a8f94f8f624ce reads=22668 writes=34729 rerouted=0 hedges=251 inferences=0 on_fault=7623 retries=0 fallback=0 [8036/0/0/0/30/17623/7910 14632/0/0/0/221/34729/0]",
     "seed 11 stop0 heimdall: 07caf8e153972bbf reads=22668 writes=34729 rerouted=653 hedges=0 inferences=22668 on_fault=7995 retries=0 fallback=0 [8317/0/0/0/0/17623/7995 14351/653/653/20/0/34729/0]",
     "seed 11 stop1 baseline: d3708c2fc640291e reads=22668 writes=34729 rerouted=0 hedges=0 inferences=0 on_fault=3504 retries=0 fallback=0 [19163/0/0/0/0/34729/0 3505/0/0/0/0/17623/3504]",
     "seed 11 stop1 random: 64217751a98fc83e reads=22668 writes=34729 rerouted=11232 hedges=0 inferences=0 on_fault=5570 retries=0 fallback=0 [17001/7730/0/0/0/34729/0 5667/3502/0/0/0/17623/5570]",
-    "seed 11 stop1 hedging: b7b02ed6c4c85c38 reads=22668 writes=34729 rerouted=0 hedges=936 inferences=0 on_fault=4055 retries=0 fallback=0 [19163/0/0/0/589/34729/0 3505/0/0/0/347/17623/4055]",
+    "seed 11 stop1 hedging: f71e52806ab3a16d reads=22668 writes=34729 rerouted=0 hedges=326 inferences=0 on_fault=3504 retries=0 fallback=0 [19163/0/0/0/43/34729/0 3505/0/0/0/283/17623/4150]",
     "seed 11 stop1 heimdall: 216ec99272f0dec2 reads=22668 writes=34729 rerouted=306 hedges=0 inferences=22668 on_fault=3504 retries=0 fallback=0 [19469/0/0/0/0/34729/0 3199/306/306/22/0/17623/3504]",
     "seed 11 both-0.1s baseline: 2f0ab661dd5bc47c reads=22668 writes=34729 rerouted=0 hedges=0 inferences=0 on_fault=461 retries=3906 fallback=0 [15198/0/0/0/0/33715/782 7470/0/0/0/0/34067/159]",
     "seed 11 both-0.1s random: 14c8482d04dd1388 reads=22668 writes=34729 rerouted=11232 hedges=0 inferences=0 on_fault=409 retries=3906 fallback=0 [11117/7730/0/0/0/33715/635 11551/3502/0/0/0/34067/254]",
@@ -470,7 +540,7 @@ const HOMED_PINNED: &[&str] = &[
     "seed 11 both-0.1s heimdall: e7239a56899ea960 reads=22668 writes=34729 rerouted=596 hedges=0 inferences=22668 on_fault=498 retries=3906 fallback=0 [15755/1/1/0/0/33715/819 6913/595/595/41/0/34067/159]",
     "seed 11 both-0.5s baseline: 635f96ec282831fa reads=22668 writes=34729 rerouted=0 hedges=0 inferences=0 on_fault=2294 retries=45621 fallback=0 [12601/0/0/0/0/28120/4964 8904/0/0/0/0/28867/857]",
     "seed 11 both-0.5s random: 70b8405d2c03f3de reads=22668 writes=34729 rerouted=11232 hedges=0 inferences=0 on_fault=2137 retries=45621 fallback=0 [9495/7730/0/0/0/28120/3842 12010/3502/0/0/0/28867/1822]",
-    "seed 11 both-0.5s hedging: 9985cdadb21e3020 reads=22668 writes=34729 rerouted=0 hedges=772 inferences=0 on_fault=2675 retries=45621 fallback=0 [12601/0/0/0/51/28120/5345 8904/0/0/0/721/28867/857]",
+    "seed 11 both-0.5s hedging: 9c9c95f0e1fbfa8f reads=22668 writes=34729 rerouted=0 hedges=352 inferences=0 on_fault=2294 retries=45621 fallback=0 [12601/0/0/0/51/28120/5291 8904/0/0/0/301/28867/857]",
     "seed 11 both-0.5s heimdall: a50035fe13028bd1 reads=22668 writes=34729 rerouted=490 hedges=0 inferences=22668 on_fault=2359 retries=45621 fallback=0 [12758/134/134/6/0/28120/5029 8747/356/356/17/0/28867/857]",
     "seed 11 fail-slow baseline: 8171974a47e93cd0 reads=22668 writes=34729 rerouted=0 hedges=0 inferences=0 on_fault=0 retries=0 fallback=0 [15659/0/0/0/0/34729/0 7009/0/0/0/0/34729/0]",
     "seed 11 fail-slow random: 9a4bf69726ce85bd reads=22668 writes=34729 rerouted=11232 hedges=0 inferences=0 on_fault=0 retries=0 fallback=0 [11431/7730/0/0/0/34729/0 11237/3502/0/0/0/34729/0]",
@@ -486,19 +556,19 @@ const HOMED_PINNED: &[&str] = &[
     "seed 29 none heimdall: 98c2782133bcab2b reads=28322 writes=16565 rerouted=1866 hedges=0 inferences=28322 on_fault=0 retries=0 fallback=0 [17154/1103/1103/24/0/16565/0 11168/763/763/35/0/16565/0]",
     "seed 29 stop0 baseline: 835902ddc8ff86b2 reads=28322 writes=16565 rerouted=0 hedges=0 inferences=0 on_fault=6512 retries=0 fallback=0 [10982/0/0/0/0/9472/6512 17340/0/0/0/0/16565/0]",
     "seed 29 stop0 random: ceca7e12d18ca393 reads=28322 writes=16565 rerouted=14212 hedges=0 inferences=0 on_fault=6460 retries=0 fallback=0 [7598/8824/0/0/0/9472/6460 20724/5388/0/0/0/16565/0]",
-    "seed 29 stop0 hedging: 4bc3829168045082 reads=28322 writes=16565 rerouted=0 hedges=1752 inferences=0 on_fault=7215 retries=0 fallback=0 [10982/0/0/0/203/9472/7215 17340/0/0/0/1549/16565/0]",
+    "seed 29 stop0 hedging: 1f7df01c89d90071 reads=28322 writes=16565 rerouted=0 hedges=1405 inferences=0 on_fault=6512 retries=0 fallback=0 [10982/0/0/0/214/9472/7200 17340/0/0/0/1191/16565/0]",
     "seed 29 stop0 heimdall: 46f85685f6e275e7 reads=28322 writes=16565 rerouted=1142 hedges=0 inferences=28322 on_fault=7174 retries=0 fallback=0 [11078/192/192/7/0/9472/7174 17244/950/950/18/0/16565/0]",
     "seed 29 stop1 baseline: 9c82cbfb63988a33 reads=28322 writes=16565 rerouted=0 hedges=0 inferences=0 on_fault=6479 retries=0 fallback=0 [23973/0/0/0/0/16565/0 4349/0/0/0/0/9472/6479]",
     "seed 29 stop1 random: 02d61d0d9da90a10 reads=28322 writes=16565 rerouted=14212 hedges=0 inferences=0 on_fault=6531 retries=0 fallback=0 [20589/8824/0/0/0/16565/0 7733/5388/0/0/0/9472/6531]",
-    "seed 29 stop1 hedging: e9e4a080ef52f464 reads=28322 writes=16565 rerouted=0 hedges=3987 inferences=0 on_fault=9200 retries=0 fallback=0 [23973/0/0/0/2880/16565/0 4349/0/0/0/1107/9472/9200]",
+    "seed 29 stop1 hedging: 537e78267d6751fe reads=28322 writes=16565 rerouted=0 hedges=1956 inferences=0 on_fault=6479 retries=0 fallback=0 [23973/0/0/0/200/16565/0 4349/0/0/0/1756/9472/8968]",
     "seed 29 stop1 heimdall: f3af417073eef111 reads=28322 writes=16565 rerouted=1473 hedges=0 inferences=28322 on_fault=7219 retries=0 fallback=0 [23894/1146/1146/25/0/16565/0 4428/327/327/21/0/9472/7219]",
     "seed 29 both-0.1s baseline: 939c504dff57243e reads=28322 writes=16565 rerouted=0 hedges=0 inferences=0 on_fault=1050 retries=12824 fallback=0 [16444/0/0/0/0/15310/1566 11878/0/0/0/0/15775/1086]",
     "seed 29 both-0.1s random: 3be21518c503fd01 reads=28322 writes=16565 rerouted=14212 hedges=0 inferences=0 on_fault=919 retries=12824 fallback=0 [12840/8824/0/0/0/15310/1734 15482/5388/0/0/0/15775/787]",
-    "seed 29 both-0.1s hedging: ce08e6b3a3bd6daf reads=28322 writes=16565 rerouted=0 hedges=3197 inferences=0 on_fault=1773 retries=12824 fallback=0 [16444/0/0/0/448/15310/2289 11878/0/0/0/2749/15775/1086]",
+    "seed 29 both-0.1s hedging: 28d2c92e5f487592 reads=28322 writes=16565 rerouted=0 hedges=2259 inferences=0 on_fault=1050 retries=12824 fallback=0 [16444/0/0/0/226/15310/2162 11878/0/0/0/2033/15775/1086]",
     "seed 29 both-0.1s heimdall: 184fe4db785187e5 reads=28322 writes=16565 rerouted=1313 hedges=0 inferences=28322 on_fault=1296 retries=12824 fallback=0 [16437/537/537/21/0/15310/1812 11885/776/776/32/0/15775/1086]",
     "seed 29 both-0.5s baseline: 66ec97b62ea2b227 reads=28322 writes=16565 rerouted=0 hedges=0 inferences=0 on_fault=1280 retries=77568 fallback=0 [14170/0/0/0/0/13524/4484 10596/0/0/0/0/13609/1959]",
     "seed 29 both-0.5s random: c035900579ec1a61 reads=28322 writes=16565 rerouted=14212 hedges=0 inferences=0 on_fault=1279 retries=77568 fallback=0 [11351/8824/0/0/0/13524/3867 13415/5388/0/0/0/13609/2575]",
-    "seed 29 both-0.5s hedging: 4b2e4d6394ec40b1 reads=28322 writes=16565 rerouted=0 hedges=3508 inferences=0 on_fault=1400 retries=77568 fallback=0 [14170/0/0/0/544/13524/4604 10596/0/0/0/2964/13609/1959]",
+    "seed 29 both-0.5s hedging: 9b7d5d33bbf9a65b reads=28322 writes=16565 rerouted=0 hedges=2116 inferences=0 on_fault=1280 retries=77568 fallback=0 [14170/0/0/0/531/13524/4578 10596/0/0/0/1585/13609/1959]",
     "seed 29 both-0.5s heimdall: 975218dff8127d0d reads=28322 writes=16565 rerouted=1109 hedges=0 inferences=28322 on_fault=1331 retries=77568 fallback=0 [14610/309/309/8/0/13524/4535 10156/800/800/53/0/13609/1959]",
     "seed 29 fail-slow baseline: 18c16625f4130038 reads=28322 writes=16565 rerouted=0 hedges=0 inferences=0 on_fault=0 retries=0 fallback=0 [17494/0/0/0/0/16565/0 10828/0/0/0/0/16565/0]",
     "seed 29 fail-slow random: 60fdca4f45c7772d reads=28322 writes=16565 rerouted=14212 hedges=0 inferences=0 on_fault=0 retries=0 fallback=0 [14058/8824/0/0/0/16565/0 14264/5388/0/0/0/16565/0]",
@@ -509,7 +579,7 @@ const HOMED_PINNED: &[&str] = &[
     "seed 29 stall hedging: 75ca1ff4da7fd814 reads=28322 writes=16565 rerouted=0 hedges=5904 inferences=0 on_fault=0 retries=0 fallback=0 [17494/0/0/0/253/16565/0 10828/0/0/0/5651/16565/0]",
     "seed 29 stall heimdall: 5c6c3598f944b27e reads=28322 writes=16565 rerouted=4260 hedges=0 inferences=28322 on_fault=0 retries=0 fallback=0 [14806/3474/3474/304/0/16565/0 13516/786/786/25/0/16565/0]",
     "3-replica stop0+stop2 random: a3e1fa8b945aa3a7 reads=81260 writes=87780 rerouted=54264 hedges=0 inferences=0 on_fault=17455 retries=0 fallback=0 [20916/11740/0/0/0/54955/9158 41376/20087/0/0/0/87780/0 18968/22437/0/0/0/57567/8297]",
-    "3-replica stop0+stop2 hedging: d1f12b3975fa1f7c reads=81260 writes=87780 rerouted=0 hedges=12191 inferences=0 on_fault=17441 retries=0 fallback=0 [16171/0/0/0/2030/54955/4555 39858/0/0/0/7777/87780/0 25231/0/0/0/2384/57567/12886]",
+    "3-replica stop0+stop2 hedging: d8806195398f0789 reads=81260 writes=87780 rerouted=0 hedges=9112 inferences=0 on_fault=13231 retries=0 fallback=0 [16171/0/0/0/1794/54955/4427 39858/0/0/0/4510/87780/0 25231/0/0/0/2808/57567/10296]",
 ];
 
 const WIDE_PINNED: &[&str] = &[
