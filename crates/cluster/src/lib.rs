@@ -23,6 +23,7 @@
 //! println!("avg read latency: {:.0} us", result.mean_latency());
 //! ```
 
+mod backoff;
 pub mod eventq;
 pub mod replayer;
 pub mod train;

@@ -13,10 +13,11 @@
 //! is retained for differential testing, and [`replay_homed_profiled`]
 //! runs the same overhauled loop with a per-phase timing probe.
 
+use crate::backoff::retry_delay_us;
 use crate::eventq::EventQueue;
 use heimdall_metrics::LatencyRecorder;
 use heimdall_policies::{DeviceView, Policy, Route};
-use heimdall_ssd::SsdDevice;
+use heimdall_ssd::{Completion, SsdDevice};
 use heimdall_trace::{IoOp, IoRequest, Trace};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -106,22 +107,6 @@ enum Deferred {
         home: usize,
         attempt: u32,
     },
-}
-
-/// Base backoff delay for reads that found no live replica.
-const RETRY_BASE_US: u64 = 200;
-/// Backoff doubles per attempt up to `RETRY_BASE_US << RETRY_MAX_SHIFT`.
-const RETRY_MAX_SHIFT: u32 = 7;
-/// A read is abandoned (and its wait recorded) after this many retries.
-const RETRY_MAX_ATTEMPTS: u32 = 16;
-
-/// First available device at `now`, scanning ascending from `prefer` with
-/// wrap-around.
-fn live_target(devices: &[SsdDevice], prefer: usize, now: u64) -> Option<usize> {
-    let n = devices.len();
-    (0..n)
-        .map(|k| (prefer + k) % n)
-        .find(|&d| devices[d].is_available(now))
 }
 
 /// Reference-engine event wrapper (the new engine keys the queue itself).
@@ -254,25 +239,27 @@ impl ReplayProfile {
     }
 }
 
+/// The phases a replay's wall-clock is attributed to (the `*_ns` fields of
+/// [`ReplayProfile`]).
+#[derive(Clone, Copy)]
+enum Phase {
+    Queue,
+    Policy,
+    Device,
+    Recorder,
+}
+
 /// Per-phase instrumentation hooks for the replay engine. The default
 /// no-op impl compiles away entirely; the timing impl backs
 /// [`replay_homed_profiled`].
 trait ReplayProbe {
-    /// Marks the start of a timed span.
+    /// Marks the start of a timed span. Needed only after untimed work: a
+    /// lap also starts the next span, so adjacent phases are laps in a row.
     #[inline(always)]
     fn start(&mut self) {}
-    /// Charges the span to the event-queue phase.
+    /// Charges the span to `phase`.
     #[inline(always)]
-    fn queue(&mut self) {}
-    /// Charges the span to the policy phase.
-    #[inline(always)]
-    fn policy(&mut self) {}
-    /// Charges the span to the device-simulation phase.
-    #[inline(always)]
-    fn device(&mut self) {}
-    /// Charges the span to the recorder phase.
-    #[inline(always)]
-    fn recorder(&mut self) {}
+    fn lap(&mut self, _phase: Phase) {}
     /// Counts one event push.
     #[inline(always)]
     fn count_event(&mut self) {}
@@ -291,47 +278,22 @@ struct TimingProbe {
     profile: ReplayProfile,
 }
 
-impl TimingProbe {
-    fn new() -> Self {
-        TimingProbe {
-            last: Instant::now(),
-            profile: ReplayProfile::default(),
-        }
-    }
-
-    #[inline]
-    fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let ns = now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        ns
-    }
-}
-
 impl ReplayProbe for TimingProbe {
     #[inline]
     fn start(&mut self) {
         self.last = Instant::now();
     }
     #[inline]
-    fn queue(&mut self) {
-        let ns = self.lap();
-        self.profile.queue_ns += ns;
-    }
-    #[inline]
-    fn policy(&mut self) {
-        let ns = self.lap();
-        self.profile.policy_ns += ns;
-    }
-    #[inline]
-    fn device(&mut self) {
-        let ns = self.lap();
-        self.profile.device_ns += ns;
-    }
-    #[inline]
-    fn recorder(&mut self) {
-        let ns = self.lap();
-        self.profile.recorder_ns += ns;
+    fn lap(&mut self, phase: Phase) {
+        let now = Instant::now();
+        let ns = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        match phase {
+            Phase::Queue => self.profile.queue_ns += ns,
+            Phase::Policy => self.profile.policy_ns += ns,
+            Phase::Device => self.profile.device_ns += ns,
+            Phase::Recorder => self.profile.recorder_ns += ns,
+        }
     }
     #[inline]
     fn count_event(&mut self) {
@@ -363,8 +325,8 @@ pub fn replay_homed(
 }
 
 /// Runs [`replay_homed`] with per-phase wall-clock attribution. The result
-/// is identical to the unprofiled engine; the profile feeds the replay
-/// bench lane (`results/replay.run.json`).
+/// is identical to the unprofiled engine; the profile feeds the benchmark's
+/// `cluster.replayer.*_seconds` rows.
 ///
 /// # Panics
 ///
@@ -374,152 +336,197 @@ pub fn replay_homed_profiled(
     devices: &mut [SsdDevice],
     policy: &mut dyn Policy,
 ) -> (ReplayResult, ReplayProfile) {
-    let mut probe = TimingProbe::new();
+    let mut probe = TimingProbe {
+        last: Instant::now(),
+        profile: ReplayProfile::default(),
+    };
     let result = replay_homed_impl(requests, devices, policy, &mut probe);
     (result, probe.profile)
 }
 
-/// Drains every deferred event due at or before `t` (new engine).
-fn drain_until<P: ReplayProbe>(
-    pending: &mut EventQueue<Deferred>,
-    t: u64,
-    devices: &mut [SsdDevice],
-    policy: &mut dyn Policy,
-    result: &mut ReplayResult,
-    probe: &mut P,
-) {
-    loop {
-        probe.start();
-        let due = match pending.next_at() {
-            Some(at) if at <= t => pending.pop().expect("peeked"),
-            _ => {
-                probe.queue();
-                return;
-            }
-        };
-        probe.queue();
-        let (at, work) = due;
-        match work {
+/// One replay in flight. Every read reaches a device the same way whether
+/// it is arriving, retrying after a backoff or being hedged:
+/// [`Engine::resolve`] picks a live replica and accounts the fault reroute,
+/// [`Engine::submit`] hands the read to the device, tells the policy and
+/// schedules the completion.
+struct Engine<'a, P: ReplayProbe> {
+    devices: &'a mut [SsdDevice],
+    policy: &'a mut dyn Policy,
+    pending: EventQueue<Deferred>,
+    result: ReplayResult,
+    probe: &'a mut P,
+}
+
+impl<P: ReplayProbe> Engine<'_, P> {
+    /// Queues deferred work to fire at `at`.
+    fn defer(&mut self, at: u64, work: Deferred) {
+        self.probe.start();
+        self.pending.push(at, work);
+        self.probe.lap(Phase::Queue);
+        self.probe.count_event();
+    }
+
+    /// Records one read's effective latency.
+    fn record(&mut self, latency_us: u64) {
+        self.probe.start();
+        self.result.reads.record(latency_us);
+        self.probe.lap(Phase::Recorder);
+    }
+
+    /// The replica a read preferring `prefer` goes to at `at`: `prefer`
+    /// itself unless it is inside a fail-stop outage, else the first live
+    /// replica scanning ascending from it with wrap-around (never
+    /// `exclude`), else none. Finding a substitute is one
+    /// `reroutes_on_fault`. The dead `prefer` is charged
+    /// `fault_rerouted_away` whenever a substitute serves the read, and
+    /// with `charge_unplaced` also when none does: an arrival and a hedge
+    /// charge the replica they found dead either way, a backoff retry only
+    /// once some replica takes the read.
+    fn resolve(
+        &mut self,
+        prefer: usize,
+        exclude: Option<usize>,
+        at: u64,
+        charge_unplaced: bool,
+    ) -> Option<usize> {
+        if self.devices[prefer].is_available(at) {
+            return Some(prefer);
+        }
+        let n = self.devices.len();
+        let live = (1..n)
+            .map(|k| (prefer + k) % n)
+            .find(|&d| Some(d) != exclude && self.devices[d].is_available(at));
+        if live.is_some() || charge_unplaced {
+            self.result.per_device[prefer].fault_rerouted_away += 1;
+        }
+        if live.is_some() {
+            self.result.reroutes_on_fault += 1;
+        }
+        live
+    }
+
+    /// Submits a read to live replica `d` at `at`: the device serves it,
+    /// the policy hears of it, and its completion is scheduled.
+    fn submit(&mut self, d: usize, req: &IoRequest, at: u64) -> Completion {
+        self.probe.start();
+        let done = self.devices[d].submit(req, at);
+        self.probe.lap(Phase::Device);
+        self.policy.on_submit(d, req, at);
+        self.probe.lap(Phase::Policy);
+        self.defer(
+            done.finish_us,
             Deferred::Completion {
-                dev,
-                req,
-                queue_len,
-                latency_us,
-            } => {
-                probe.start();
-                policy.on_completion(dev, &req, queue_len, latency_us, at);
-                probe.policy();
-            }
-            Deferred::HedgeFire {
-                req,
-                primary,
-                primary_finish,
-            } => {
-                // A backup inside a fail-stop outage is substituted by the
-                // next live replica other than the primary's own device (a
-                // duplicate queued behind its original can never finish
-                // first); with none live the read completes on the primary
-                // alone.
-                let n = devices.len();
-                let backup = (primary + 1) % n;
-                let backup = if devices[backup].is_available(at) {
-                    Some(backup)
-                } else {
-                    result.per_device[backup].fault_rerouted_away += 1;
-                    let live = (2..n)
-                        .map(|k| (primary + k) % n)
-                        .find(|&d| devices[d].is_available(at));
-                    if live.is_some() {
-                        result.reroutes_on_fault += 1;
-                    }
-                    live
-                };
-                let Some(backup) = backup else {
-                    probe.start();
-                    result.reads.record(primary_finish - req.arrival_us);
-                    probe.recorder();
-                    continue;
-                };
-                result.hedges_fired += 1;
-                result.per_device[backup].hedge_backups += 1;
-                probe.start();
-                let done = devices[backup].submit(&req, at);
-                probe.device();
-                probe.start();
-                policy.on_submit(backup, &req, at);
-                probe.policy();
-                probe.start();
-                pending.push(
-                    done.finish_us,
-                    Deferred::Completion {
-                        dev: backup,
-                        req,
-                        queue_len: done.queue_len,
-                        latency_us: done.latency_us,
-                    },
-                );
-                probe.queue();
-                probe.count_event();
-                // Effective latency: earlier of primary and backup.
-                let finish = primary_finish.min(done.finish_us);
-                probe.start();
-                result.reads.record(finish - req.arrival_us);
-                probe.recorder();
-            }
-            Deferred::Retry { req, home, attempt } => match live_target(devices, home, at) {
-                Some(d) => {
-                    if d != home {
-                        result.reroutes_on_fault += 1;
-                        result.per_device[home].fault_rerouted_away += 1;
-                    }
-                    result.per_device[d].admits += 1;
-                    probe.start();
-                    let done = devices[d].submit(&req, at);
-                    probe.device();
-                    probe.start();
-                    policy.on_submit(d, &req, at);
-                    probe.policy();
-                    probe.start();
-                    pending.push(
-                        done.finish_us,
-                        Deferred::Completion {
-                            dev: d,
-                            req,
-                            queue_len: done.queue_len,
-                            latency_us: done.latency_us,
+                dev: d,
+                req: *req,
+                queue_len: done.queue_len,
+                latency_us: done.latency_us,
+            },
+        );
+        done
+    }
+
+    /// One attempt to serve a read at `at`. Attempt 0 is the arrival: it
+    /// prefers the replica the policy chose and is hedged after
+    /// `timeout_us` (`u64::MAX` = never). Attempt k > 0 is the k-th backoff
+    /// retry: it prefers the read's home and is not hedged. With no live
+    /// replica the read backs off, and is abandoned once the budget is
+    /// spent.
+    fn attempt(
+        &mut self,
+        req: &IoRequest,
+        home: usize,
+        prefer: usize,
+        attempt: u32,
+        at: u64,
+        timeout_us: u64,
+    ) {
+        match self.resolve(prefer, None, at, attempt == 0) {
+            Some(d) => {
+                self.result.per_device[d].admits += 1;
+                let done = self.submit(d, req, at);
+                if done.latency_us > timeout_us {
+                    // The duplicate fires at the deadline; the read is
+                    // recorded then, at the earlier finish.
+                    self.defer(
+                        at + timeout_us,
+                        Deferred::HedgeFire {
+                            req: *req,
+                            primary: d,
+                            primary_finish: done.finish_us,
                         },
                     );
-                    probe.queue();
-                    probe.count_event();
-                    // Latency spans the full wait since the original arrival.
-                    probe.start();
-                    result.reads.record(done.finish_us - req.arrival_us);
-                    probe.recorder();
+                } else {
+                    // Latency spans the full wait since the arrival.
+                    self.record(done.finish_us - req.arrival_us);
                 }
-                None if attempt < RETRY_MAX_ATTEMPTS => {
-                    result.retries += 1;
-                    let delay = RETRY_BASE_US << attempt.min(RETRY_MAX_SHIFT);
-                    probe.start();
-                    pending.push(
+            }
+            None => match retry_delay_us(attempt) {
+                Some(delay) => {
+                    self.result.retries += 1;
+                    self.defer(
                         at + delay,
                         Deferred::Retry {
-                            req,
+                            req: *req,
                             home,
                             attempt: attempt + 1,
                         },
                     );
-                    probe.queue();
-                    probe.count_event();
                 }
-                None => {
-                    // Whole-array outage outlasted the backoff budget: give
-                    // up, accounting the read's wait so every read appears
-                    // in the recorder exactly once.
-                    probe.start();
-                    result.reads.record(at - req.arrival_us);
-                    probe.recorder();
-                }
+                // Whole-array outage outlasted the backoff budget: give up,
+                // accounting the read's wait so every read appears in the
+                // recorder exactly once.
+                None => self.record(at - req.arrival_us),
             },
+        }
+    }
+
+    /// Runs every deferred event due at or before `t`.
+    fn drain(&mut self, t: u64) {
+        loop {
+            self.probe.start();
+            let due = match self.pending.next_at() {
+                Some(at) if at <= t => self.pending.pop(),
+                _ => None,
+            };
+            self.probe.lap(Phase::Queue);
+            let Some((at, work)) = due else { return };
+            match work {
+                Deferred::Completion {
+                    dev,
+                    req,
+                    queue_len,
+                    latency_us,
+                } => {
+                    self.policy
+                        .on_completion(dev, &req, queue_len, latency_us, at);
+                    self.probe.lap(Phase::Policy);
+                }
+                Deferred::HedgeFire {
+                    req,
+                    primary,
+                    primary_finish,
+                } => {
+                    // The duplicate goes to the next replica, or its live
+                    // substitute, but never to the primary's own device (a
+                    // duplicate queued behind its original can never finish
+                    // first); with nowhere to go the read completes on the
+                    // primary alone.
+                    let backup = (primary + 1) % self.devices.len();
+                    let finish = match self.resolve(backup, Some(primary), at, true) {
+                        Some(b) => {
+                            self.result.hedges_fired += 1;
+                            self.result.per_device[b].hedge_backups += 1;
+                            // Effective latency: earlier of the two.
+                            primary_finish.min(self.submit(b, &req, at).finish_us)
+                        }
+                        None => primary_finish,
+                    };
+                    self.record(finish - req.arrival_us);
+                }
+                Deferred::Retry { req, home, attempt } => {
+                    self.attempt(&req, home, home, attempt, at, u64::MAX)
+                }
+            }
         }
     }
 }
@@ -538,203 +545,83 @@ fn replay_homed_impl<P: ReplayProbe>(
         "homed requests must be sorted by arrival"
     );
     let read_count = requests.iter().filter(|h| h.req.op.is_read()).count();
-    let mut result = ReplayResult {
-        policy: policy.name().to_string(),
-        reads: LatencyRecorder::with_capacity(read_count),
-        writes: 0,
-        rerouted: 0,
-        hedges_fired: 0,
-        inferences: 0,
-        reroutes_on_fault: 0,
-        retries: 0,
-        fallback_decisions: 0,
-        per_device: vec![DeviceLane::default(); devices.len()],
-    };
-    let mut pending: EventQueue<Deferred> = EventQueue::with_capacity(64);
+    let last = devices.len() - 1;
     let mut views: Vec<DeviceView> = Vec::with_capacity(devices.len());
+    let mut eng = Engine {
+        result: ReplayResult {
+            policy: policy.name().to_string(),
+            reads: LatencyRecorder::with_capacity(read_count),
+            writes: 0,
+            rerouted: 0,
+            hedges_fired: 0,
+            inferences: 0,
+            reroutes_on_fault: 0,
+            retries: 0,
+            fallback_decisions: 0,
+            per_device: vec![DeviceLane::default(); devices.len()],
+        },
+        devices,
+        policy,
+        pending: EventQueue::with_capacity(64),
+        probe,
+    };
 
     for HomedRequest { req, home } in requests {
-        let home = (*home).min(devices.len() - 1);
+        let home = (*home).min(last);
         let now = req.arrival_us;
-        drain_until(&mut pending, now, devices, policy, &mut result, probe);
+        eng.drain(now);
         match req.op {
             IoOp::Write => {
-                result.writes += 1;
-                probe.start();
-                for (i, dev) in devices.iter_mut().enumerate() {
+                eng.result.writes += 1;
+                eng.probe.start();
+                for (i, dev) in eng.devices.iter_mut().enumerate() {
                     // A replica inside a fail-stop outage misses the write;
                     // its lane counter records only the writes it served.
                     if dev.try_submit(req, now).is_ok() {
-                        result.per_device[i].writes += 1;
+                        eng.result.per_device[i].writes += 1;
                     }
                 }
-                probe.device();
+                eng.probe.lap(Phase::Device);
             }
             IoOp::Read => {
-                probe.start();
+                eng.probe.start();
                 views.clear();
-                views.extend(devices.iter_mut().map(|d| DeviceView {
+                views.extend(eng.devices.iter_mut().map(|d| DeviceView {
                     queue_len: d.queue_len(now),
                 }));
-                probe.device();
-                probe.start();
-                let route = policy.route_read(req, now, &views, home);
-                probe.policy();
-                probe.count_decision();
-                match route {
-                    Route::To(d) => {
-                        let chosen = d.min(devices.len() - 1);
-                        // Policy-level reroute accounting reflects the
-                        // policy's own decision; degradation caused by an
-                        // unavailable replica is counted separately below.
-                        if chosen != home {
-                            result.rerouted += 1;
-                            result.per_device[home].rerouted_away += 1;
-                        }
-                        let d = if devices[chosen].is_available(now) {
-                            chosen
-                        } else {
-                            result.per_device[chosen].fault_rerouted_away += 1;
-                            match live_target(devices, chosen, now) {
-                                Some(live) => {
-                                    result.reroutes_on_fault += 1;
-                                    live
-                                }
-                                None => {
-                                    // Whole array down: back off and retry.
-                                    result.retries += 1;
-                                    probe.start();
-                                    pending.push(
-                                        now + RETRY_BASE_US,
-                                        Deferred::Retry {
-                                            req: *req,
-                                            home,
-                                            attempt: 1,
-                                        },
-                                    );
-                                    probe.queue();
-                                    probe.count_event();
-                                    continue;
-                                }
-                            }
-                        };
-                        result.per_device[d].admits += 1;
-                        probe.start();
-                        let done = devices[d].submit(req, now);
-                        probe.device();
-                        probe.start();
-                        policy.on_submit(d, req, now);
-                        probe.policy();
-                        probe.start();
-                        result.reads.record(done.latency_us);
-                        probe.recorder();
-                        probe.start();
-                        pending.push(
-                            done.finish_us,
-                            Deferred::Completion {
-                                dev: d,
-                                req: *req,
-                                queue_len: done.queue_len,
-                                latency_us: done.latency_us,
-                            },
-                        );
-                        probe.queue();
-                        probe.count_event();
-                    }
+                eng.probe.lap(Phase::Device);
+                let route = eng.policy.route_read(req, now, &views, home);
+                eng.probe.lap(Phase::Policy);
+                eng.probe.count_decision();
+                // An unhedged route is a hedge that never fires.
+                let (chosen, timeout_us) = match route {
+                    Route::To(d) => (d, u64::MAX),
                     Route::Hedged {
                         primary,
                         timeout_us,
-                    } => {
-                        let chosen = primary.min(devices.len() - 1);
-                        if chosen != home {
-                            result.rerouted += 1;
-                            result.per_device[home].rerouted_away += 1;
-                        }
-                        let p = if devices[chosen].is_available(now) {
-                            chosen
-                        } else {
-                            result.per_device[chosen].fault_rerouted_away += 1;
-                            match live_target(devices, chosen, now) {
-                                Some(live) => {
-                                    result.reroutes_on_fault += 1;
-                                    live
-                                }
-                                None => {
-                                    // No live replica to hedge against: the
-                                    // read degrades to a plain backoff retry.
-                                    result.retries += 1;
-                                    probe.start();
-                                    pending.push(
-                                        now + RETRY_BASE_US,
-                                        Deferred::Retry {
-                                            req: *req,
-                                            home,
-                                            attempt: 1,
-                                        },
-                                    );
-                                    probe.queue();
-                                    probe.count_event();
-                                    continue;
-                                }
-                            }
-                        };
-                        result.per_device[p].admits += 1;
-                        probe.start();
-                        let done = devices[p].submit(req, now);
-                        probe.device();
-                        probe.start();
-                        policy.on_submit(p, req, now);
-                        probe.policy();
-                        probe.start();
-                        pending.push(
-                            done.finish_us,
-                            Deferred::Completion {
-                                dev: p,
-                                req: *req,
-                                queue_len: done.queue_len,
-                                latency_us: done.latency_us,
-                            },
-                        );
-                        probe.queue();
-                        probe.count_event();
-                        if done.latency_us > timeout_us {
-                            // The duplicate fires at the deadline; the read
-                            // completes at the earlier finish. Recording
-                            // happens when the hedge fires.
-                            probe.start();
-                            pending.push(
-                                now + timeout_us,
-                                Deferred::HedgeFire {
-                                    req: *req,
-                                    primary: p,
-                                    primary_finish: done.finish_us,
-                                },
-                            );
-                            probe.queue();
-                            probe.count_event();
-                        } else {
-                            probe.start();
-                            result.reads.record(done.latency_us);
-                            probe.recorder();
-                        }
-                    }
+                    } => (primary, timeout_us),
+                };
+                let chosen = chosen.min(last);
+                // Policy-level reroute accounting reflects the policy's own
+                // decision; degradation caused by an unavailable replica is
+                // counted separately, in `resolve`.
+                if chosen != home {
+                    eng.result.rerouted += 1;
+                    eng.result.per_device[home].rerouted_away += 1;
                 }
+                eng.attempt(req, home, chosen, 0, now, timeout_us);
             }
         }
     }
-    drain_until(&mut pending, u64::MAX, devices, policy, &mut result, probe);
-    result.inferences = policy.inferences();
-    result.fallback_decisions = policy.fallback_decisions();
-    for (dev, c) in policy
-        .decision_counters()
-        .into_iter()
-        .enumerate()
-        .take(devices.len())
-    {
-        result.per_device[dev].declines = c.declines;
-        result.per_device[dev].probe_admits = c.probe_admits;
+    eng.drain(u64::MAX);
+    eng.result.inferences = eng.policy.inferences();
+    eng.result.fallback_decisions = eng.policy.fallback_decisions();
+    let lanes = eng.result.per_device.iter_mut();
+    for (lane, c) in lanes.zip(eng.policy.decision_counters()) {
+        lane.declines = c.declines;
+        lane.probe_admits = c.probe_admits;
     }
-    result
+    eng.result
 }
 
 /// The seed replay engine (`BinaryHeap<Reverse<Event>>`, per-read view

@@ -16,6 +16,7 @@
 //! random) skip completion scheduling entirely. The seed engine is kept as
 //! [`run_wide_reference`] for differential testing.
 
+use crate::backoff::retry_delay_us;
 use crate::eventq::EventQueue;
 use heimdall_core::model::OnlineAdmitter;
 use heimdall_core::pipeline::Trained;
@@ -192,47 +193,37 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     for (osd, plan) in osds.iter_mut().zip(&cfg.fault_plans) {
         osd.set_fault_plan(plan.clone());
     }
-    let faulty = cfg.fault_plans.iter().any(|p| !p.is_empty());
-    let mut admitters: Option<Vec<OnlineAdmitter>> = match &policy {
-        WidePolicy::Heimdall(models) => {
-            Some(models.iter().cloned().map(OnlineAdmitter::new).collect())
-        }
-        _ => None,
-    };
     // Probe rule (same as the single-node policies): a long streak of
     // declines with no fresh completion from an OSD forces one probe
     // admit, so a stale history cannot decline forever.
     const PROBE_AFTER: u32 = 8;
-    let mut declines = vec![0u32; n_osds];
 
     // Pre-generate the merged arrival schedule.
     let arrivals = build_arrivals(cfg, &mut rng);
 
-    // Deferred admitter completion notifications, honoring causality.
-    // Completions only feed the admitters, so stateless policies skip
-    // scheduling entirely (delivery would be a no-op) and submit without
-    // queue-length tracking (nothing ever observes it).
-    let track_completions = admitters.is_some();
-    let mut pending: EventQueue<WideCompletion> = EventQueue::with_capacity(64);
-    // Degraded-mode bookkeeping: sub-reads that found both replicas inside
-    // a fail-stop outage wait here for a backoff retry, and their end-user
-    // request stays open until the last deferred member resolves. All of
-    // it stays empty (and costs one peek per arrival) on fault-free runs.
-    let mut retryq: EventQueue<WideRetry> = EventQueue::with_capacity(if faulty { 64 } else { 4 });
-    let mut open: Vec<OpenRequest> = Vec::new();
-    let mut free_slots: Vec<usize> = Vec::new();
-    let mut deferred: Vec<WideRetry> = Vec::new();
-
     let client_reqs = arrivals.iter().filter(|a| a.1 == Source::Client).count();
-    let mut result = WideResult {
-        policy: policy.name().to_string(),
-        requests: LatencyRecorder::with_capacity(client_reqs),
-        sub_reads: LatencyRecorder::with_capacity(client_reqs * cfg.scaling_factor),
-        rerouted: 0,
-        reroutes_on_fault: 0,
-        retries: 0,
+    let mut eng = WideEngine {
+        osds,
+        admitters: match &policy {
+            WidePolicy::Heimdall(models) => {
+                Some(models.iter().cloned().map(OnlineAdmitter::new).collect())
+            }
+            _ => None,
+        },
+        declines: vec![0u32; n_osds],
+        pending: EventQueue::with_capacity(64),
+        retryq: EventQueue::new(),
+        open: Vec::new(),
+        result: WideResult {
+            policy: policy.name().to_string(),
+            requests: LatencyRecorder::with_capacity(client_reqs),
+            sub_reads: LatencyRecorder::with_capacity(client_reqs * cfg.scaling_factor),
+            rerouted: 0,
+            reroutes_on_fault: 0,
+            retries: 0,
+        },
+        next_id: 0,
     };
-    let mut next_id = 0u64;
     let sub_sizes = [PAGE_SIZE, 16 * 1024, 64 * 1024, 256 * 1024];
     // Per-request scratch, reused across arrivals so the admission hot path
     // does not allocate.
@@ -240,24 +231,10 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     let mut order: Vec<usize> = Vec::new();
     let mut sizes: Vec<u32> = Vec::new();
     let mut raws: Vec<bool> = Vec::new();
+    let mut deferred: Vec<SubRead> = Vec::new();
 
     for (now, source, idx) in arrivals {
-        // Deliver due completions and fire due backoff retries in time
-        // order (ties resolve completions first, so fresh evidence lands
-        // before a retry submits).
-        drain_wide(
-            now,
-            track_completions,
-            &mut pending,
-            &mut retryq,
-            &mut osds,
-            &mut admitters,
-            &mut declines,
-            &mut open,
-            &mut free_slots,
-            &mut result,
-            &mut next_id,
-        );
+        eng.drain(now);
 
         match source {
             Source::Noise => {
@@ -265,20 +242,20 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                 // node's OSDs, moving to another node every few seconds —
                 // long enough dwell for admission models to react.
                 let node = (idx + (now / 5_000_000) as usize) % cfg.nodes;
-                let osd = node * cfg.osds_per_node + (next_id as usize % cfg.osds_per_node);
+                let osd = node * cfg.osds_per_node + (eng.next_id as usize % cfg.osds_per_node);
                 let req = IoRequest {
-                    id: next_id,
+                    id: eng.next_id,
                     arrival_us: now,
-                    offset: (next_id % 4096) * cfg.noise_size as u64,
+                    offset: (eng.next_id % 4096) * cfg.noise_size as u64,
                     size: cfg.noise_size,
                     op: IoOp::Write,
                 };
-                next_id += 1;
+                eng.next_id += 1;
                 // A noise write into an outage window is simply lost.
-                if track_completions {
-                    let _ = osds[osd].try_submit(&req, now);
+                if eng.admitters.is_some() {
+                    let _ = eng.osds[osd].try_submit(&req, now);
                 } else {
-                    let _ = osds[osd].try_submit_untracked(&req, now);
+                    let _ = eng.osds[osd].try_submit_untracked(&req, now);
                 }
             }
             Source::Client => {
@@ -305,8 +282,7 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                         decline: coin,
                     });
                 }
-                if let WidePolicy::Heimdall(_) = &policy {
-                    let adm = admitters.as_mut().expect("heimdall admitters");
+                if let Some(adm) = eng.admitters.as_mut() {
                     // Batch member decisions per primary OSD: stable-sort
                     // member indices by home so each OSD's group is scored
                     // in a single weight-matrix sweep.
@@ -323,7 +299,7 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                         sizes.clear();
                         sizes.extend(order[k..j].iter().map(|&i| members[i].size));
                         raws.clear();
-                        let qlen = osds[osd].queue_len(now);
+                        let qlen = eng.osds[osd].queue_len(now);
                         adm[osd].decide_members(qlen, &sizes, &mut raws);
                         for (&i, &raw) in order[k..j].iter().zip(&raws) {
                             members[i].decline = raw;
@@ -334,91 +310,45 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                     // per-member admission): admit on a "fast" verdict, or
                     // probe after too many consecutive declines.
                     for m in members.iter_mut() {
-                        if !m.decline || declines[m.primary] >= PROBE_AFTER {
-                            declines[m.primary] = 0;
+                        if !m.decline || eng.declines[m.primary] >= PROBE_AFTER {
+                            eng.declines[m.primary] = 0;
                             m.decline = false;
                         } else {
-                            declines[m.primary] += 1;
+                            eng.declines[m.primary] += 1;
                         }
                     }
                 }
                 let mut max_finish = now;
                 for m in &members {
-                    let mut target = if m.decline { m.secondary } else { m.primary };
-                    if faulty && !osds[target].is_available(now) {
-                        let other = if target == m.primary {
-                            m.secondary
-                        } else {
-                            m.primary
-                        };
-                        if osds[other].is_available(now) {
-                            result.reroutes_on_fault += 1;
-                            target = other;
-                        } else {
-                            // Both replicas down: the member waits for a
-                            // backoff retry; its request stays open.
-                            deferred.push(WideRetry {
-                                offset: m.offset,
-                                size: m.size,
-                                primary: m.primary,
-                                secondary: m.secondary,
-                                arrival_us: now,
-                                slot: 0,
-                                attempt: 1,
-                            });
-                            continue;
-                        }
-                    }
-                    let req = IoRequest {
-                        id: next_id,
-                        arrival_us: now,
-                        offset: m.offset,
-                        size: m.size,
-                        op: IoOp::Read,
-                    };
-                    next_id += 1;
-                    if target != m.primary {
-                        result.rerouted += 1;
-                    }
-                    let done = if track_completions {
-                        osds[target].submit(&req, now)
+                    let (prefer, other) = if m.decline {
+                        (m.secondary, m.primary)
                     } else {
-                        osds[target].submit_untracked(&req, now)
+                        (m.primary, m.secondary)
                     };
-                    result.sub_reads.record(done.latency_us);
-                    max_finish = max_finish.max(done.finish_us);
-                    // Schedule the admitter update at completion time.
-                    if track_completions {
-                        pending.push(
-                            done.finish_us,
-                            WideCompletion {
-                                osd: target,
-                                queue_len: done.queue_len,
-                                latency_us: done.latency_us,
-                                size: m.size,
-                            },
-                        );
+                    match eng.place(prefer, other, now) {
+                        Some(t) => max_finish = max_finish.max(eng.submit_sub(m, t, now, now)),
+                        // Both replicas down: the member waits for a
+                        // backoff retry; its request stays open.
+                        None => deferred.push(*m),
                     }
                 }
                 if deferred.is_empty() {
-                    result.requests.record(max_finish - now);
+                    eng.result.requests.record(max_finish - now);
                 } else {
-                    result.retries += deferred.len() as u64;
-                    let slot = match free_slots.pop() {
-                        Some(s) => s,
-                        None => {
-                            open.push(OpenRequest::default());
-                            open.len() - 1
-                        }
-                    };
-                    open[slot] = OpenRequest {
+                    let slot = eng.open.len();
+                    eng.open.push(OpenRequest {
                         arrival_us: now,
                         outstanding: deferred.len() as u32,
                         max_finish,
-                    };
-                    for mut r in deferred.drain(..) {
-                        r.slot = slot;
-                        retryq.push(now + WIDE_RETRY_BASE_US, r);
+                    });
+                    for sub in deferred.drain(..) {
+                        let unplaced = WideRetry {
+                            sub,
+                            arrival_us: now,
+                            slot,
+                            attempt: 0,
+                        };
+                        eng.back_off(unplaced, now);
                     }
                 }
             }
@@ -426,20 +356,8 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     }
     // Resolve deferred retries beyond the last arrival so every sub-read
     // and end-user request is accounted exactly once.
-    drain_wide(
-        u64::MAX,
-        track_completions,
-        &mut pending,
-        &mut retryq,
-        &mut osds,
-        &mut admitters,
-        &mut declines,
-        &mut open,
-        &mut free_slots,
-        &mut result,
-        &mut next_id,
-    );
-    WideResult { ..result }
+    eng.drain(u64::MAX);
+    eng.result
 }
 
 /// One placed sub-read of an end-user request, pending admission.
@@ -463,144 +381,112 @@ struct WideCompletion {
     size: u32,
 }
 
-/// Base backoff delay for sub-reads that found both replicas unavailable.
-const WIDE_RETRY_BASE_US: u64 = 200;
-/// Backoff doubles per attempt up to `WIDE_RETRY_BASE_US << RETRY_MAX_SHIFT`.
-const WIDE_RETRY_MAX_SHIFT: u32 = 7;
-/// A sub-read is abandoned (its wait recorded) after this many retries.
-const WIDE_RETRY_MAX_ATTEMPTS: u32 = 16;
-
 /// A sub-read waiting out a whole-pair outage on the backoff queue.
 #[derive(Debug, Clone, Copy)]
 struct WideRetry {
-    offset: u64,
-    size: u32,
-    primary: usize,
-    secondary: usize,
+    sub: SubRead,
     /// Original end-user arrival; the recorded latency spans the full wait.
     arrival_us: u64,
     /// Index of the open end-user request this member belongs to.
     slot: usize,
+    /// Attempts that found both replicas down so far (0 = the arrival).
     attempt: u32,
 }
 
-/// An end-user request with deferred members still outstanding.
-#[derive(Debug, Clone, Copy, Default)]
+/// An end-user request that had to defer members: it is recorded when the
+/// last of them resolves.
+#[derive(Debug, Clone, Copy)]
 struct OpenRequest {
     arrival_us: u64,
     outstanding: u32,
     max_finish: u64,
 }
 
-/// Closes one deferred member of an open request, recording the request
-/// latency once the last member resolves.
-fn close_member(
-    open: &mut [OpenRequest],
-    free_slots: &mut Vec<usize>,
-    result: &mut WideResult,
-    slot: usize,
-    finish_us: u64,
-) {
-    let o = &mut open[slot];
-    o.max_finish = o.max_finish.max(finish_us);
-    o.outstanding -= 1;
-    if o.outstanding == 0 {
-        result.requests.record(o.max_finish - o.arrival_us);
-        free_slots.push(slot);
-    }
+/// One wide-scale run in flight. A sub-read reaches an OSD the same way
+/// whether it is arriving or retrying after a backoff: [`WideEngine::place`]
+/// picks the live member of its replica pair, [`WideEngine::submit_sub`]
+/// hands it over and schedules the admitter update.
+struct WideEngine {
+    osds: Vec<SsdDevice>,
+    /// Per-OSD admitters (Heimdall only). Completions exist only to feed
+    /// them, so without them nothing is ever scheduled on `pending`
+    /// (delivery would be a no-op) and submissions skip queue-length
+    /// tracking (nothing ever observes it).
+    admitters: Option<Vec<OnlineAdmitter>>,
+    /// Consecutive declines per OSD since its last completion.
+    declines: Vec<u32>,
+    /// Deferred admitter completion notifications, honoring causality.
+    pending: EventQueue<WideCompletion>,
+    // Degraded-mode bookkeeping: sub-reads that found both replicas inside
+    // a fail-stop outage wait on `retryq` for a backoff retry, and their
+    // end-user request stays in `open` until the last deferred member
+    // resolves. All of it stays empty (and costs one peek per arrival) on
+    // fault-free runs.
+    retryq: EventQueue<WideRetry>,
+    open: Vec<OpenRequest>,
+    result: WideResult,
+    next_id: u64,
 }
 
-/// Drains completions and backoff retries due at or before `now`, merged in
-/// time order (completions first on ties so fresh admitter evidence lands
-/// before a retry submits).
-#[allow(clippy::too_many_arguments)]
-fn drain_wide(
-    now: u64,
-    track_completions: bool,
-    pending: &mut EventQueue<WideCompletion>,
-    retryq: &mut EventQueue<WideRetry>,
-    osds: &mut [SsdDevice],
-    admitters: &mut Option<Vec<OnlineAdmitter>>,
-    declines: &mut [u32],
-    open: &mut [OpenRequest],
-    free_slots: &mut Vec<usize>,
-    result: &mut WideResult,
-    next_id: &mut u64,
-) {
-    loop {
-        let c_at = if track_completions {
-            pending.next_at()
+impl WideEngine {
+    /// The OSD a sub-read preferring `prefer` goes to at `at`: `prefer`
+    /// unless it is inside a fail-stop outage, else `other` (the second
+    /// member of its replica pair, one `reroutes_on_fault`), else none.
+    fn place(&mut self, prefer: usize, other: usize, at: u64) -> Option<usize> {
+        if self.osds[prefer].is_available(at) {
+            Some(prefer)
+        } else if self.osds[other].is_available(at) {
+            self.result.reroutes_on_fault += 1;
+            Some(other)
         } else {
             None
-        };
-        let r_at = retryq.next_at();
-        let (is_retry, at) = match (c_at, r_at) {
-            (Some(c), Some(r)) => {
-                if r < c {
-                    (true, r)
-                } else {
-                    (false, c)
-                }
-            }
-            (Some(c), None) => (false, c),
-            (None, Some(r)) => (true, r),
-            (None, None) => return,
-        };
-        if at > now {
-            return;
         }
-        if !is_retry {
-            let (_, ev) = pending.pop().expect("peeked");
-            let adm = admitters.as_mut().expect("tracking implies admitters");
-            adm[ev.osd].on_completion(ev.latency_us, ev.queue_len, ev.size);
-            declines[ev.osd] = 0;
-            continue;
+    }
+
+    /// Submits sub-read `m`, part of an end-user request that arrived at
+    /// `arrival_us`, to live OSD `target` at `at`; returns its finish time.
+    fn submit_sub(&mut self, m: &SubRead, target: usize, arrival_us: u64, at: u64) -> u64 {
+        let req = IoRequest {
+            id: self.next_id,
+            arrival_us: at,
+            offset: m.offset,
+            size: m.size,
+            op: IoOp::Read,
+        };
+        self.next_id += 1;
+        if target != m.primary {
+            self.result.rerouted += 1;
         }
-        let (_, r) = retryq.pop().expect("peeked");
-        let target = if osds[r.primary].is_available(at) {
-            Some(r.primary)
-        } else if osds[r.secondary].is_available(at) {
-            result.reroutes_on_fault += 1;
-            Some(r.secondary)
+        let done = if self.admitters.is_some() {
+            self.osds[target].submit(&req, at)
         } else {
-            None
+            self.osds[target].submit_untracked(&req, at)
         };
-        match target {
-            Some(t) => {
-                let req = IoRequest {
-                    id: *next_id,
-                    arrival_us: at,
-                    offset: r.offset,
-                    size: r.size,
-                    op: IoOp::Read,
-                };
-                *next_id += 1;
-                if t != r.primary {
-                    result.rerouted += 1;
-                }
-                let done = if track_completions {
-                    osds[t].submit(&req, at)
-                } else {
-                    osds[t].submit_untracked(&req, at)
-                };
-                result.sub_reads.record(done.finish_us - r.arrival_us);
-                if track_completions {
-                    pending.push(
-                        done.finish_us,
-                        WideCompletion {
-                            osd: t,
-                            queue_len: done.queue_len,
-                            latency_us: done.latency_us,
-                            size: r.size,
-                        },
-                    );
-                }
-                close_member(open, free_slots, result, r.slot, done.finish_us);
-            }
-            None if r.attempt < WIDE_RETRY_MAX_ATTEMPTS => {
-                result.retries += 1;
-                let delay = WIDE_RETRY_BASE_US << r.attempt.min(WIDE_RETRY_MAX_SHIFT);
-                retryq.push(
+        // Latency spans the full wait since the end-user arrival.
+        self.result.sub_reads.record(done.finish_us - arrival_us);
+        // Schedule the admitter update at completion time.
+        if self.admitters.is_some() {
+            self.pending.push(
+                done.finish_us,
+                WideCompletion {
+                    osd: target,
+                    queue_len: done.queue_len,
+                    latency_us: done.latency_us,
+                    size: m.size,
+                },
+            );
+        }
+        done.finish_us
+    }
+
+    /// A member found both replicas down at `at`: schedule its next attempt,
+    /// or give up once the backoff budget is spent, recording the wait so
+    /// the sub-read and its request stay accounted.
+    fn back_off(&mut self, r: WideRetry, at: u64) {
+        match retry_delay_us(r.attempt) {
+            Some(delay) => {
+                self.result.retries += 1;
+                self.retryq.push(
                     at + delay,
                     WideRetry {
                         attempt: r.attempt + 1,
@@ -609,10 +495,52 @@ fn drain_wide(
                 );
             }
             None => {
-                // Outage outlasted the backoff budget: give up, recording
-                // the wait so the sub-read and its request stay accounted.
-                result.sub_reads.record(at - r.arrival_us);
-                close_member(open, free_slots, result, r.slot, at);
+                self.result.sub_reads.record(at - r.arrival_us);
+                self.close_member(r.slot, at);
+            }
+        }
+    }
+
+    /// Closes one deferred member of an open request, recording the request
+    /// latency once the last member resolves.
+    fn close_member(&mut self, slot: usize, finish_us: u64) {
+        let o = &mut self.open[slot];
+        o.max_finish = o.max_finish.max(finish_us);
+        o.outstanding -= 1;
+        if o.outstanding == 0 {
+            self.result.requests.record(o.max_finish - o.arrival_us);
+        }
+    }
+
+    /// Delivers completions and fires backoff retries due at or before
+    /// `now`, merged in time order (completions first on ties, so fresh
+    /// admitter evidence lands before a retry submits).
+    fn drain(&mut self, now: u64) {
+        loop {
+            let (is_retry, at) = match (self.pending.next_at(), self.retryq.next_at()) {
+                (Some(c), Some(r)) if r < c => (true, r),
+                (Some(c), _) => (false, c),
+                (None, Some(r)) => (true, r),
+                (None, None) => return,
+            };
+            if at > now {
+                return;
+            }
+            if is_retry {
+                let (_, r) = self.retryq.pop().expect("peeked");
+                // A retry forgets the arrival's decline: primary first.
+                match self.place(r.sub.primary, r.sub.secondary, at) {
+                    Some(t) => {
+                        let finish = self.submit_sub(&r.sub, t, r.arrival_us, at);
+                        self.close_member(r.slot, finish);
+                    }
+                    None => self.back_off(r, at),
+                }
+            } else {
+                let (_, ev) = self.pending.pop().expect("peeked");
+                let adm = self.admitters.as_mut().expect("tracking implies admitters");
+                adm[ev.osd].on_completion(ev.latency_us, ev.queue_len, ev.size);
+                self.declines[ev.osd] = 0;
             }
         }
     }
