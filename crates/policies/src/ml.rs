@@ -71,8 +71,7 @@ impl ProbeGate {
 /// current group and the next unconsumed slot. Heimdall keeps one per
 /// device — the group is a property of the device's admission stream, so a
 /// decision cached for one home must never be replayed for reads homed
-/// elsewhere. Joint models broadcast one verdict across the group; per-I/O
-/// models in batched-group mode hold one decision per member.
+/// elsewhere. Joint models broadcast one verdict across the group.
 #[derive(Debug, Clone, Default)]
 struct GroupState {
     decisions: Vec<bool>,
@@ -94,17 +93,15 @@ impl GroupState {
 /// independently per home device.
 pub struct HeimdallPolicy {
     admitters: Vec<OnlineAdmitter>,
+    /// Admission group width, the models' trained `p` (1 = decide each
+    /// read individually).
     joint: usize,
-    /// Admission group width: the trained `p` for joint models, or the
-    /// batched-group width set by [`HeimdallPolicy::with_group`] for
-    /// per-I/O models (1 = decide each read individually).
-    group: usize,
-    /// Per-device group cache (unused when `group == 1`).
+    /// Per-device group cache (unused when `joint == 1`).
     groups: Vec<GroupState>,
     gate: ProbeGate,
     inferences: u64,
     name: String,
-    /// Reused group-size scratch (unused when `group == 1`).
+    /// Reused group-size scratch (unused when `joint == 1`).
     sizes: Vec<u32>,
 }
 
@@ -130,7 +127,6 @@ impl HeimdallPolicy {
         HeimdallPolicy {
             admitters: models.into_iter().map(OnlineAdmitter::new).collect(),
             joint,
-            group: joint,
             groups: vec![GroupState::default(); n],
             gate: ProbeGate::new(n, 8),
             inferences: 0,
@@ -142,31 +138,6 @@ impl HeimdallPolicy {
     /// Number of devices this policy serves.
     pub fn devices(&self) -> usize {
         self.admitters.len()
-    }
-
-    /// Enables batched group admission for per-I/O models: the next `p`
-    /// reads homed on a device are decided together, one feature row per
-    /// member scored in a single sweep of the batched quantized engine.
-    ///
-    /// Unlike joint inference this keeps one decision *per member* (each
-    /// member still costs one model row, so `inferences` accounting is
-    /// unchanged); the batching only amortizes the weight-matrix traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p == 0` or the models are joint-trained (those already
-    /// group by their trained `p`).
-    pub fn with_group(mut self, p: usize) -> Self {
-        assert!(p > 0, "group width must be positive");
-        assert!(
-            self.joint == 1,
-            "joint models already group by their trained p"
-        );
-        self.group = p;
-        if p > 1 {
-            self.name = format!("heimdall-b{p}");
-        }
-        self
     }
 
     /// Overrides the probe interval (consecutive declines before one read
@@ -192,20 +163,17 @@ impl Policy for HeimdallPolicy {
     ) -> Route {
         debug_assert!(views.len() >= 2);
         let primary = home.min(views.len() - 1);
-        let raw = if self.group == 1 {
+        let raw = if self.joint == 1 {
             self.inferences += 1;
             self.admitters[primary].decide(views[primary].queue_len, req.size)
         } else {
-            // Group admission: one batched sweep decides the whole group.
-            // The cache is per home device — interleaved reads for another
+            // Joint admission: one inference decides the whole group. The
+            // cache is per home device — interleaved reads for another
             // home run their own group and never consume this one.
             if self.groups[primary].exhausted() {
-                // Joint models spend one inference per group; per-I/O
-                // models still score one row per member (batching only
-                // amortizes the weight-matrix traffic).
-                self.inferences += if self.joint > 1 { 1 } else { self.group as u64 };
+                self.inferences += 1;
                 self.sizes.clear();
-                self.sizes.resize(self.group, req.size);
+                self.sizes.resize(self.joint, req.size);
                 let mut decisions = std::mem::take(&mut self.groups[primary].decisions);
                 decisions.clear();
                 self.admitters[primary].decide_members(
@@ -501,59 +469,6 @@ mod tests {
             p.route_read(&req(30 + i, PAGE_SIZE), 0, &views(), 1);
         }
         assert_eq!(p.inferences(), 2);
-    }
-
-    #[test]
-    fn batched_group_matches_per_io_decisions() {
-        // Same-size reads with stable history: the batched group must route
-        // every read exactly as per-I/O admission would (the batch kernel
-        // is bitwise identical), and inference accounting stays per member.
-        let m = trained(&PipelineConfig::heimdall());
-        let mut per_io = HeimdallPolicy::new(vec![m.clone(), m.clone()]);
-        let mut batched = HeimdallPolicy::new(vec![m.clone(), m]).with_group(4);
-        assert_eq!(batched.name(), "heimdall-b4");
-        for i in 0..3 {
-            per_io.on_completion(0, &req(i, PAGE_SIZE), 9, 18_000, 1000);
-            batched.on_completion(0, &req(i, PAGE_SIZE), 9, 18_000, 1000);
-        }
-        for i in 0..8 {
-            let a = per_io.route_read(&req(10 + i, PAGE_SIZE), 0, &views(), 0);
-            let b = batched.route_read(&req(10 + i, PAGE_SIZE), 0, &views(), 0);
-            assert_eq!(a, b, "read {i}");
-        }
-        assert_eq!(per_io.inferences(), batched.inferences());
-        assert_eq!(per_io.decision_counters(), batched.decision_counters());
-    }
-
-    #[test]
-    fn batched_group_cache_is_per_device() {
-        let m = trained(&PipelineConfig::heimdall());
-        let mut p = HeimdallPolicy::new(vec![m.clone(), m]).with_group(3);
-        for i in 0..3 {
-            p.on_completion(0, &req(i, PAGE_SIZE), 1, 100, 1000);
-            p.on_completion(1, &req(i, PAGE_SIZE), 1, 100, 1000);
-        }
-        p.route_read(&req(10, PAGE_SIZE), 0, &views(), 0);
-        p.route_read(&req(11, PAGE_SIZE), 0, &views(), 1);
-        assert_eq!(
-            p.inferences(),
-            6,
-            "each home opens its own 3-member group (3 rows each)"
-        );
-        for i in 0..2 {
-            p.route_read(&req(20 + i, PAGE_SIZE), 0, &views(), 0);
-            p.route_read(&req(30 + i, PAGE_SIZE), 0, &views(), 1);
-        }
-        assert_eq!(p.inferences(), 6, "open groups drain without new sweeps");
-    }
-
-    #[test]
-    #[should_panic(expected = "joint models already group")]
-    fn with_group_rejects_joint_models() {
-        let mut cfg = PipelineConfig::heimdall();
-        cfg.joint = 3;
-        let m = trained(&cfg);
-        let _ = HeimdallPolicy::new(vec![m.clone(), m]).with_group(2);
     }
 
     #[test]
