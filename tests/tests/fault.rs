@@ -354,8 +354,7 @@ fn homed_fingerprint(r: &ReplayResult) -> String {
 }
 
 /// Fails with the full re-captured table when any row moved.
-fn assert_pinned(what: &str, rows: &[(String, String)], pinned: &[&str]) {
-    let got: Vec<String> = rows.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+fn assert_pinned(what: &str, got: &[String], pinned: &[&str]) {
     if got != pinned {
         let table: String = got.iter().map(|r| format!("    \"{r}\",\n")).collect();
         let moved = got
@@ -370,11 +369,14 @@ fn assert_pinned(what: &str, rows: &[(String, String)], pinned: &[&str]) {
 
 const SEC: u64 = 1_000_000;
 
+fn stop(from_us: u64, to_us: u64) -> FaultPlan {
+    FaultPlan::fail_stop(from_us, to_us)
+}
+
 /// The homed fault shapes, indexed by replica. The two whole-array outages
 /// are staggered so a backoff retry homed on replica 0 finds replica 1
 /// live first (the retry path's own reroute accounting).
 fn homed_fault_plans(secs: u64) -> Vec<(&'static str, Vec<FaultPlan>)> {
-    let stop = |from: u64, to: u64| FaultPlan::fail_stop(from, to);
     vec![
         ("none", Vec::new()),
         ("stop0", vec![stop(SEC, 3 * SEC)]),
@@ -415,9 +417,9 @@ fn homed_fault_matrix_is_pinned() {
             ];
             for (policy_name, mut policy) in policies {
                 let r = replay(&requests, &cfgs, &plans, seed, policy.as_mut());
-                rows.push((
-                    format!("seed {seed} {plan_name} {policy_name}"),
-                    homed_fingerprint(&r),
+                rows.push(format!(
+                    "seed {seed} {plan_name} {policy_name}: {}",
+                    homed_fingerprint(&r)
                 ));
             }
         }
@@ -430,9 +432,9 @@ fn homed_fault_matrix_is_pinned() {
     let requests = merge_homed(&borrowed);
     let cfgs = vec![DeviceConfig::datacenter_nvme(); 3];
     let plans = vec![
-        FaultPlan::fail_stop(SEC, 3 * SEC),
+        stop(SEC, 3 * SEC),
         FaultPlan::none(),
-        FaultPlan::fail_stop(SEC / 2, 2 * SEC),
+        stop(SEC / 2, 2 * SEC),
     ];
     let policies: [(&str, Box<dyn Policy>); 2] = [
         ("random", Box::new(RandomSelect::new(7))),
@@ -440,9 +442,9 @@ fn homed_fault_matrix_is_pinned() {
     ];
     for (policy_name, mut policy) in policies {
         let r = replay(&requests, &cfgs, &plans, 7, policy.as_mut());
-        rows.push((
-            format!("3-replica stop0+stop2 {policy_name}"),
-            homed_fingerprint(&r),
+        rows.push(format!(
+            "3-replica stop0+stop2 {policy_name}: {}",
+            homed_fingerprint(&r)
         ));
     }
     assert_pinned("replay_homed", &rows, HOMED_PINNED);
@@ -473,7 +475,6 @@ fn wide_fault_matrix_is_pinned() {
         plans[n / 2] = second;
         plans
     };
-    let stop = |from: u64, to: u64| FaultPlan::fail_stop(from, to);
     let plan_sets = [
         ("one-down", vec![stop(SEC / 2, 3 * SEC / 2)]),
         (
@@ -503,18 +504,16 @@ fn wide_fault_matrix_is_pinned() {
         ];
         for policy in policies {
             let r = run_wide(&cfg, policy);
-            rows.push((
-                format!("{plan_name} {}", r.policy),
-                format!(
-                    "{:016x} {:016x} requests={} sub_reads={} rerouted={} on_fault={} retries={}",
-                    sample_hash(r.requests.samples()),
-                    sample_hash(r.sub_reads.samples()),
-                    r.requests.len(),
-                    r.sub_reads.len(),
-                    r.rerouted,
-                    r.reroutes_on_fault,
-                    r.retries
-                ),
+            rows.push(format!(
+                "{plan_name} {}: {:016x} {:016x} requests={} sub_reads={} rerouted={} on_fault={} retries={}",
+                r.policy,
+                sample_hash(r.requests.samples()),
+                sample_hash(r.sub_reads.samples()),
+                r.requests.len(),
+                r.sub_reads.len(),
+                r.rerouted,
+                r.reroutes_on_fault,
+                r.retries
             ));
         }
     }
