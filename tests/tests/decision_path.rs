@@ -1,0 +1,121 @@
+//! The online decision path (`OnlineAdmitter`) against the pieces the
+//! benchmark ledger times separately: row assembly (`DeviceRuntime`), the
+//! scaler and the quantized network.
+
+use heimdall_core::collect::collect_batch;
+use heimdall_core::pipeline::{run_batch, FeatureKind, PipelineConfig, Trained};
+use heimdall_core::{DeviceRuntime, OnlineAdmitter};
+use heimdall_integration::gen::contention_trace;
+use heimdall_ssd::{DeviceConfig, SsdDevice};
+use heimdall_trace::rng::Rng64;
+
+/// One trained model per input recipe: per-I/O spec, LinnOS digits, joint.
+fn models() -> Vec<Trained> {
+    let mut cfg = DeviceConfig::consumer_nvme();
+    cfg.free_pool = 1 << 30;
+    let records = collect_batch(&contention_trace(11, 20), &mut SsdDevice::new(cfg, 12));
+    let joint = PipelineConfig {
+        joint: 3,
+        ..PipelineConfig::heimdall()
+    };
+    [
+        PipelineConfig::heimdall(),
+        PipelineConfig::linnos_baseline(),
+        joint,
+    ]
+    .iter()
+    .map(|pc| run_batch(&records, pc).expect("trains").0)
+    .collect()
+}
+
+/// Log-uniform draw from `[1, max]`.
+fn log_uniform(rng: &mut Rng64, max: f64) -> f64 {
+    max.powf(rng.f64())
+}
+
+fn random_size(rng: &mut Rng64) -> u32 {
+    (512.0 * log_uniform(rng, 8192.0)) as u32
+}
+
+/// The ledger's composition for one raw row: scale, quantized predict,
+/// calibrated threshold.
+fn scored(model: &Trained, raw: &[f32]) -> bool {
+    let mut row = raw.to_vec();
+    if let Some(scaler) = &model.scaler {
+        scaler.transform_row(&mut row);
+    }
+    let quantized = model.quantized.as_ref().expect("ReLU nets quantize");
+    quantized.predict(&row) >= model.threshold
+}
+
+/// The traced `homed_heimdall` run reports `row_assembly_ns`,
+/// `transform_row_ns` and `predict_ns` by calling `raw_row`, `transform_row`
+/// and `QuantizedMlp::predict` itself; this holds `decide` (and the group
+/// entry points) equal to that composition over a random interleaving of
+/// completions and decisions, before and after warm-up.
+#[test]
+fn decide_is_the_composition_the_ledger_times() {
+    for model in models() {
+        let mut adm = OnlineAdmitter::new(model.clone());
+        let depth = match &model.kind {
+            FeatureKind::Spec(spec) => spec.hist_depth,
+            FeatureKind::LinnosDigitized => 4,
+            FeatureKind::Joint { hist_depth, .. } => *hist_depth,
+        };
+        let mut rt = DeviceRuntime::new(depth);
+        let mut rng = Rng64::new(0xdec1de);
+        let (mut declines, mut admits) = (0u32, 0u32);
+        for step in 0..6000 {
+            if rng.chance(0.35) {
+                let latency = log_uniform(&mut rng, 1e6) as u64;
+                let (queue_len, size) = (rng.below(1001) as u32, random_size(&mut rng));
+                adm.on_completion(latency, queue_len, size);
+                rt.on_completion(latency, queue_len, size);
+                continue;
+            }
+            let queue_len = log_uniform(&mut rng, 1e3) as u32 - rng.below(2) as u32;
+            let sizes: Vec<u32> = (0..1 + rng.below(10))
+                .map(|_| random_size(&mut rng))
+                .collect();
+            let warm = rt.warmed_up();
+            let expect = match &model.kind {
+                FeatureKind::Spec(spec) => {
+                    warm && scored(&model, rt.raw_row(spec, queue_len, sizes[0]))
+                }
+                FeatureKind::LinnosDigitized => warm && scored(&model, rt.linnos_row(queue_len)),
+                FeatureKind::Joint { hist_depth, p } => {
+                    warm && scored(
+                        &model,
+                        rt.joint_row(*hist_depth, queue_len, &vec![sizes[0]; *p]),
+                    )
+                }
+            };
+            assert_eq!(
+                adm.decide(queue_len, sizes[0]),
+                expect,
+                "{:?} step {step}",
+                model.kind
+            );
+            declines += expect as u32;
+            admits += (warm && !expect) as u32;
+
+            let mut members = Vec::new();
+            if let FeatureKind::Joint { hist_depth, p } = model.kind {
+                let group: Vec<u32> = sizes.iter().copied().cycle().take(p).collect();
+                let verdict = warm && scored(&model, rt.joint_row(hist_depth, queue_len, &group));
+                assert_eq!(adm.decide_group(queue_len, &group), verdict, "step {step}");
+                adm.decide_members(queue_len, &group, &mut members);
+                assert_eq!(members, vec![verdict; p], "step {step}");
+            } else {
+                adm.decide_members(queue_len, &sizes, &mut members);
+                let each: Vec<bool> = sizes.iter().map(|&s| adm.decide(queue_len, s)).collect();
+                assert_eq!(members, each, "{:?} step {step}", model.kind);
+            }
+        }
+        assert!(
+            declines > 50 && admits > 50,
+            "{:?}: one-sided stream ({declines} declines, {admits} admits)",
+            model.kind
+        );
+    }
+}

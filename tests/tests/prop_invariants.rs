@@ -1012,8 +1012,10 @@ fn prop_history_ring_matches_vecdeque_model() {
 /// i64 pass, or declines — over weights amplified to straddle the i16 bound,
 /// biases on both sides of the i32 and i64 bounds, out-of-range and
 /// non-finite inputs, leaky/PReLU/linear hidden layers, the softmax-2 fold,
-/// odd input widths, layer widths that are not a multiple of 4 and networks
-/// of one to three layers. A miss
+/// odd input widths, layer widths that are not a multiple of 4 (1–37, and
+/// 64/128/130/200: several full register blocks plus a ragged tail at every
+/// lane width), power-of-two and other quantization scales, and networks of
+/// one to three layers. A miss
 /// forced at each layer in turn must fall back to the same logit, and the
 /// i64 pass must survive every input without overflow (checked arithmetic in
 /// dev, saturation in release).
@@ -1041,7 +1043,13 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
             let cfg = MlpConfig {
                 input_dim: 1 + rng.below(17) as usize,
                 hidden: (0..rng.below(3))
-                    .map(|_| (1 + rng.below(37) as usize, acts[rng.below(4) as usize]))
+                    .map(|_| {
+                        let width = match rng.below(4) {
+                            0 => [64, 128, 130, 200][rng.below(4) as usize],
+                            _ => 1 + rng.below(37) as usize,
+                        };
+                        (width, acts[rng.below(4) as usize])
+                    })
                     .collect(),
                 output: if rng.chance(0.3) {
                     OutputLayer::Softmax2
@@ -1059,7 +1067,10 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
                 [0.0, 0.0, 0.0, 0.3, -1.7, 3.0, 20.0, 2047.9, -2048.5, 1e13][bias_idx as usize];
             let mut mlp = Mlp::new(cfg, rng.next_u64());
             mlp.map_params(|p| if p == 0.0 { bias } else { p * amp });
-            let q = QuantizedMlp::quantize_paper(&mlp);
+            // The deployed scale, a smaller power of two, and two scales that
+            // requantize by division.
+            let scale = [1024, 1024, 512, 1000, 3][rng.below(5) as usize];
+            let q = QuantizedMlp::quantize(&mlp, scale);
             let mut stream = random_stream(stream_seed, rows, dim);
             let wild = [
                 40.0,
@@ -1100,7 +1111,7 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
             let mut a = 1u32;
             while a < 40_000 {
                 let polarity = if a.is_multiple_of(2) { 1.0 } else { -1.0 };
-                stream.extend(signs.iter().map(|s| polarity * s * a as f32 / 1024.0));
+                stream.extend(signs.iter().map(|s| polarity * s * a as f32 / scale as f32));
                 a = a * 4 / 3 + 1;
             }
             let forced: Vec<QuantizedMlp> = (0..layers)
@@ -1115,7 +1126,7 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
                 match q.logit_narrow(row) {
                     Some(z) if z.to_bits() != wide => {
                         return Err(format!(
-                            "row {r}: narrow {z} vs wide (amp {amp}, bias {bias})"
+                            "row {r}: narrow {z} vs wide (amp {amp}, bias {bias}, scale {scale})"
                         ));
                     }
                     Some(_) => hits.set(hits.get() + 1),
