@@ -6,9 +6,9 @@
 //! of recently *completed* reads the policy has observed. The same runtime
 //! also batches group members for joint inference (§4.2).
 
-use crate::features::{FeatureSpec, HistEntry, History};
+use crate::features::{FeatureSpec, HistEntry, History, LINNOS_DIM};
 use crate::pipeline::{FeatureKind, Trained};
-use heimdall_nn::scaler::digitize;
+use heimdall_nn::scaler::digitize_into;
 use heimdall_nn::BatchScratch;
 use serde::{Deserialize, Serialize};
 
@@ -66,16 +66,16 @@ impl DeviceRuntime {
 
     /// Builds LinnOS' 31 digitized inputs.
     pub fn linnos_row(&mut self, queue_len: u32) -> &[f32] {
-        self.row.clear();
-        let mut row = std::mem::take(&mut self.row);
-        row.extend(digitize(queue_len as f64, 3));
-        for k in 0..4 {
-            row.extend(digitize(self.hist.get(k).queue_len, 3));
+        self.row.resize(LINNOS_DIM, 0.0);
+        let (pending, hist) = self.row.split_at_mut(3);
+        let (queue_lens, latencies) = hist.split_at_mut(12);
+        digitize_into(queue_len as f64, pending);
+        for (k, digits) in queue_lens.chunks_exact_mut(3).enumerate() {
+            digitize_into(self.hist.get(k).queue_len, digits);
         }
-        for k in 0..4 {
-            row.extend(digitize(self.hist.get(k).latency_us / 10.0, 4));
+        for (k, digits) in latencies.chunks_exact_mut(4).enumerate() {
+            digitize_into(self.hist.get(k).latency_us / 10.0, digits);
         }
-        self.row = row;
         &self.row
     }
 
@@ -425,8 +425,14 @@ mod tests {
         for i in 0..4 {
             rt.on_completion(100 * (i + 1), i as u32, 4096);
         }
-        let row = rt.linnos_row(12).to_vec();
-        assert_eq!(row.len(), 31);
-        assert!(row.iter().all(|v| (0.0..=9.0).contains(v)));
+        // Pending 12; history newest first: queue lengths 3, 2, 1, 0 and
+        // latencies 400, 300, 200, 100 µs in tens of microseconds.
+        #[rustfmt::skip]
+        let want = [
+            0., 1., 2.,
+            0., 0., 3.,  0., 0., 2.,  0., 0., 1.,  0., 0., 0.,
+            0., 0., 4., 0.,  0., 0., 3., 0.,  0., 0., 2., 0.,  0., 0., 1., 0.,
+        ];
+        assert_eq!(rt.linnos_row(12), want);
     }
 }

@@ -8,6 +8,8 @@ use heimdall_core::{DeviceRuntime, OnlineAdmitter};
 use heimdall_integration::gen::contention_trace;
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::rng::Rng64;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// One trained model per input recipe: per-I/O spec, LinnOS digits, joint.
 fn models() -> Vec<Trained> {
@@ -115,6 +117,82 @@ fn decide_is_the_composition_the_ledger_times() {
         assert!(
             declines > 50 && admits > 50,
             "{:?}: one-sided stream ({declines} declines, {admits} admits)",
+            model.kind
+        );
+    }
+}
+
+/// Counts this thread's heap allocations, so tests running in parallel in
+/// this binary do not see each other.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every request is forwarded unchanged to the system allocator. The
+// counter is a const-initialized thread-local `Cell` with no destructor, so
+// touching it neither allocates nor outlives its storage.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// After warm-up (history ring full, every scratch buffer grown, the i64
+/// fallback taken once) no entry point of the decision path allocates, for
+/// any input recipe.
+#[test]
+fn decision_path_allocates_nothing_after_warm_up() {
+    for model in models() {
+        let mut adm = OnlineAdmitter::new(model.clone());
+        let group_sizes: &[usize] = match model.kind {
+            FeatureKind::Joint { p, .. } => &[p],
+            _ => &[1, 3, 10],
+        };
+        let mut rng = Rng64::new(0xa110c);
+        let mut members = Vec::with_capacity(16);
+        let mut round = |adm: &mut OnlineAdmitter, rng: &mut Rng64| {
+            adm.on_completion(
+                log_uniform(rng, 1e6) as u64,
+                rng.below(1001) as u32,
+                random_size(rng),
+            );
+            let queue_len = rng.below(1001) as u32;
+            std::hint::black_box(adm.decide(queue_len, random_size(rng)));
+            for &p in group_sizes {
+                let sizes: [u32; 10] = std::array::from_fn(|_| random_size(rng));
+                members.clear();
+                adm.decide_members(queue_len, &sizes[..p], &mut members);
+                if matches!(model.kind, FeatureKind::Joint { .. }) {
+                    std::hint::black_box(adm.decide_group(queue_len, &sizes[..p]));
+                }
+            }
+            std::hint::black_box(&members);
+        };
+        for _ in 0..8 {
+            round(&mut adm, &mut rng);
+        }
+        // Far outside the i32 pass's bound: the i64 pass grows its buffer.
+        adm.decide(u32::MAX, u32::MAX);
+        let before = ALLOCATIONS.get();
+        for _ in 0..500 {
+            round(&mut adm, &mut rng);
+        }
+        assert_eq!(
+            ALLOCATIONS.get() - before,
+            0,
+            "{:?} allocated on the decision path",
             model.kind
         );
     }
