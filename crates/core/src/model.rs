@@ -10,7 +10,6 @@ use crate::features::{FeatureSpec, HistEntry, History, LINNOS_DIM};
 use crate::pipeline::{FeatureKind, Trained};
 use heimdall_nn::scaler::digitize_into;
 use heimdall_nn::BatchScratch;
-use serde::{Deserialize, Serialize};
 
 /// Per-device online feature state.
 #[derive(Debug, Clone)]
@@ -18,8 +17,38 @@ pub struct DeviceRuntime {
     hist: History,
     depth: usize,
     row: Vec<f32>,
-    /// Completions observed so far.
-    completions: u64,
+}
+
+/// LinnOS' 31 digitized inputs: 3 digits of pending queue length, 3 per
+/// historical queue length, 4 per historical latency (tens of µs).
+fn fill_linnos(hist: &History, queue_len: u32, out: &mut [f32]) {
+    assert_eq!(out.len(), LINNOS_DIM, "LinnOS row width");
+    let (pending, hist_digits) = out.split_at_mut(3);
+    let (queue_lens, latencies) = hist_digits.split_at_mut(12);
+    digitize_into(queue_len as f64, pending);
+    for (k, digits) in queue_lens.chunks_exact_mut(3).enumerate() {
+        digitize_into(hist.get(k).queue_len, digits);
+    }
+    for (k, digits) in latencies.chunks_exact_mut(4).enumerate() {
+        digitize_into(hist.get(k).latency_us / 10.0, digits);
+    }
+}
+
+/// The joint layout (§4.2): queue length, the shared history as `depth`
+/// queue lengths, latencies and throughputs, then one size per member slot
+/// of `out`, `sizes` repeating if there are fewer.
+fn fill_joint(hist: &History, depth: usize, queue_len: u32, sizes: &[u32], out: &mut [f32]) {
+    let (shared, members) = out.split_at_mut(1 + 3 * depth);
+    shared[0] = queue_len as f32;
+    for k in 0..depth {
+        let e = hist.get(k);
+        shared[1 + k] = e.queue_len as f32;
+        shared[1 + depth + k] = e.latency_us as f32;
+        shared[1 + 2 * depth + k] = e.throughput as f32;
+    }
+    for (x, &size) in members.iter_mut().zip(sizes.iter().cycle()) {
+        *x = size as f32;
+    }
 }
 
 impl DeviceRuntime {
@@ -29,7 +58,6 @@ impl DeviceRuntime {
             hist: History::new(depth),
             depth,
             row: Vec::new(),
-            completions: 0,
         }
     }
 
@@ -46,7 +74,6 @@ impl DeviceRuntime {
             throughput: size as f64 / latency_us.max(1) as f64,
             is_read: 1.0,
         });
-        self.completions += 1;
     }
 
     /// Returns `true` once enough completions exist for a full feature row.
@@ -57,48 +84,28 @@ impl DeviceRuntime {
     /// Builds the raw feature row for `spec` given the current queue length
     /// and the incoming request size. Missing history reads as zero.
     pub fn raw_row(&mut self, spec: &FeatureSpec, queue_len: u32, size: u32) -> &[f32] {
-        let hist = &self.hist;
-        let mut row = std::mem::take(&mut self.row);
-        spec.row_into(queue_len as f64, size as f64, 0.0, hist, &mut row);
-        self.row = row;
+        spec.row_into(
+            queue_len as f64,
+            size as f64,
+            0.0,
+            &self.hist,
+            &mut self.row,
+        );
         &self.row
     }
 
     /// Builds LinnOS' 31 digitized inputs.
     pub fn linnos_row(&mut self, queue_len: u32) -> &[f32] {
         self.row.resize(LINNOS_DIM, 0.0);
-        let (pending, hist) = self.row.split_at_mut(3);
-        let (queue_lens, latencies) = hist.split_at_mut(12);
-        digitize_into(queue_len as f64, pending);
-        for (k, digits) in queue_lens.chunks_exact_mut(3).enumerate() {
-            digitize_into(self.hist.get(k).queue_len, digits);
-        }
-        for (k, digits) in latencies.chunks_exact_mut(4).enumerate() {
-            digitize_into(self.hist.get(k).latency_us / 10.0, digits);
-        }
+        fill_linnos(&self.hist, queue_len, &mut self.row);
         &self.row
     }
 
-    /// Builds the joint feature row for a group of request sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes.len() != p` of the layout being requested.
+    /// Builds the joint feature row for a group of request sizes (one per
+    /// member of the layout being requested).
     pub fn joint_row(&mut self, hist_depth: usize, queue_len: u32, sizes: &[u32]) -> &[f32] {
-        let mut row = std::mem::take(&mut self.row);
-        row.clear();
-        row.push(queue_len as f32);
-        for k in 0..hist_depth {
-            row.push(self.hist.get(k).queue_len as f32);
-        }
-        for k in 0..hist_depth {
-            row.push(self.hist.get(k).latency_us as f32);
-        }
-        for k in 0..hist_depth {
-            row.push(self.hist.get(k).throughput as f32);
-        }
-        row.extend(sizes.iter().map(|&s| s as f32));
-        self.row = row;
+        self.row.resize(1 + 3 * hist_depth + sizes.len(), 0.0);
+        fill_joint(&self.hist, hist_depth, queue_len, sizes, &mut self.row);
         &self.row
     }
 }
@@ -111,21 +118,12 @@ pub struct OnlineAdmitter {
     /// Decision-kernel arena reused across calls so the hot path stays
     /// allocation-free.
     scratch: BatchScratch,
-    batch_rows: Vec<f32>,
-    /// Padded-size scratch for per-I/O use of joint models.
-    sizes: Vec<u32>,
-    /// Single-decision staging for [`OnlineAdmitter::decide`] /
-    /// [`OnlineAdmitter::decide_group`].
-    verdicts: Vec<bool>,
-}
-
-/// Summary counters of an [`OnlineAdmitter`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmitStats {
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests declined.
-    pub declined: u64,
+    /// The model's input row, assembled and scaled in place.
+    row: Vec<f32>,
+    /// The model is a per-I/O spec in [`FeatureSpec::with_depth`]'s column
+    /// order — the joint layout with one member, which [`fill_joint`]
+    /// assembles in one walk of the ring instead of one match per cell.
+    joint_order: bool,
 }
 
 impl OnlineAdmitter {
@@ -146,11 +144,11 @@ impl OnlineAdmitter {
         };
         OnlineAdmitter {
             runtime: DeviceRuntime::new(depth),
+            row: vec![0.0; model.mlp.config().input_dim],
+            joint_order: matches!(&model.kind, FeatureKind::Spec(spec)
+                if *spec == FeatureSpec::with_depth(spec.hist_depth)),
             model,
             scratch: BatchScratch::new(),
-            batch_rows: Vec::new(),
-            sizes: Vec::new(),
-            verdicts: Vec::new(),
         }
     }
 
@@ -159,40 +157,50 @@ impl OnlineAdmitter {
         &self.model
     }
 
-    /// Decision for one request: `true` = decline (predicted slow).
-    ///
-    /// Admits unconditionally until the runtime has warmed up. Scores the
-    /// single row through the decision kernel as a batch of one; the hot
-    /// loop is free of per-decision allocation — the feature row, the
-    /// kernel's activations, and the verdict all live in reused scratch.
-    pub fn decide(&mut self, queue_len: u32, size: u32) -> bool {
-        if !self.runtime.warmed_up() {
-            return false;
-        }
-        self.verdicts.clear();
-        match &self.model.kind {
+    /// The one feed path of a warmed-up admitter: assembles each input row
+    /// in place, scales it, runs the row kernel in the admitter's own
+    /// scratch and hands the comparison with the calibrated threshold to
+    /// `verdict` — once per member for a per-I/O spec, once per call for the
+    /// queue-only LinnOS and the joint layouts (per-I/O use of a joint model
+    /// pads every slot with the one size). Nothing here allocates.
+    fn feed(&mut self, queue_len: u32, sizes: &[u32], mut verdict: impl FnMut(bool)) {
+        let (model, hist, row) = (&self.model, &self.runtime.hist, &mut self.row);
+        let mut score = |row: &mut [f32]| {
+            verdict(model.score_row(row, &mut self.scratch) >= model.threshold);
+        };
+        match &model.kind {
             FeatureKind::Spec(spec) => {
-                let row = self.runtime.raw_row(spec, queue_len, size);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
+                for &size in sizes {
+                    if self.joint_order {
+                        fill_joint(hist, spec.hist_depth, queue_len, &[size], row);
+                    } else {
+                        spec.row_into(queue_len as f64, size as f64, 0.0, hist, row);
+                    }
+                    score(row);
+                }
             }
             FeatureKind::LinnosDigitized => {
-                let row = self.runtime.linnos_row(queue_len);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
+                fill_linnos(hist, queue_len, row);
+                score(row);
             }
-            FeatureKind::Joint { hist_depth, p } => {
-                // Per-I/O use of a joint model: treat as a group of one,
-                // padding the remaining slots with the same size.
-                let (hist_depth, p) = (*hist_depth, *p);
-                self.sizes.clear();
-                self.sizes.resize(p, size);
-                let row = self.runtime.joint_row(hist_depth, queue_len, &self.sizes);
-                self.model
-                    .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
+            FeatureKind::Joint { hist_depth, .. } => {
+                fill_joint(hist, *hist_depth, queue_len, sizes, row);
+                score(row);
             }
         }
-        self.verdicts[0]
+    }
+
+    /// Decision for one request: `true` = decline (predicted slow).
+    ///
+    /// Admits unconditionally until the runtime has warmed up; after that
+    /// the decision is `quantized.predict(transform_row(raw row)) >=
+    /// threshold` with the row assembled in reused storage.
+    pub fn decide(&mut self, queue_len: u32, size: u32) -> bool {
+        let mut decline = false;
+        if self.runtime.warmed_up() {
+            self.feed(queue_len, &[size], |d| decline = d);
+        }
+        decline
     }
 
     /// Joint decision for a group of requests (§4.2): one inference admits
@@ -203,26 +211,22 @@ impl OnlineAdmitter {
     /// Panics if the model is not a joint model or the group size differs
     /// from the trained `p`.
     pub fn decide_group(&mut self, queue_len: u32, sizes: &[u32]) -> bool {
-        let FeatureKind::Joint { hist_depth, p } = self.model.kind else {
+        let FeatureKind::Joint { p, .. } = self.model.kind else {
             panic!("decide_group requires a joint-trained model");
         };
         assert_eq!(sizes.len(), p, "group size mismatch");
-        if !self.runtime.warmed_up() {
-            return false;
+        let mut decline = false;
+        if self.runtime.warmed_up() {
+            self.feed(queue_len, sizes, |d| decline = d);
         }
-        self.verdicts.clear();
-        let row = self.runtime.joint_row(hist_depth, queue_len, sizes);
-        self.model
-            .predict_slow_batch_into(row, &mut self.scratch, &mut self.verdicts);
-        self.verdicts[0]
+        decline
     }
 
     /// Per-member decisions for a group of requests sharing one queue
     /// snapshot, appended to `out` (`true` = decline).
     ///
-    /// For per-I/O ([`FeatureKind::Spec`]) models this stacks one feature
-    /// row per member and scores them in one call into the decision kernel
-    /// — each decision is bitwise identical to calling
+    /// For per-I/O ([`FeatureKind::Spec`]) models every member is scored —
+    /// each decision is bitwise identical to calling
     /// [`OnlineAdmitter::decide`] per member. For queue-only LinnOS models
     /// (size-independent) one decision is computed and broadcast; for joint
     /// models the group-level [`OnlineAdmitter::decide_group`] verdict is
@@ -233,37 +237,16 @@ impl OnlineAdmitter {
     /// Panics if the model is joint-trained and `sizes.len()` differs from
     /// the trained `p`.
     pub fn decide_members(&mut self, queue_len: u32, sizes: &[u32], out: &mut Vec<bool>) {
-        if sizes.is_empty() {
-            return;
-        }
-        if !self.runtime.warmed_up() {
-            out.extend(sizes.iter().map(|_| false));
-            return;
-        }
-        match &self.model.kind {
-            FeatureKind::Spec(_) => {}
-            FeatureKind::LinnosDigitized => {
-                let d = self.decide(queue_len, sizes[0]);
-                out.extend(sizes.iter().map(|_| d));
-                return;
+        let start = out.len();
+        if self.runtime.warmed_up() && !sizes.is_empty() {
+            if let FeatureKind::Joint { p, .. } = self.model.kind {
+                assert_eq!(sizes.len(), p, "group size mismatch");
             }
-            FeatureKind::Joint { .. } => {
-                let d = self.decide_group(queue_len, sizes);
-                out.extend(sizes.iter().map(|_| d));
-                return;
-            }
+            self.feed(queue_len, sizes, |d| out.push(d));
         }
-        let FeatureKind::Spec(spec) = &self.model.kind else {
-            unreachable!("non-spec kinds returned above")
-        };
-        let mut rows = std::mem::take(&mut self.batch_rows);
-        rows.clear();
-        for &size in sizes {
-            rows.extend_from_slice(self.runtime.raw_row(spec, queue_len, size));
-        }
-        self.model
-            .predict_slow_batch_into(&rows, &mut self.scratch, out);
-        self.batch_rows = rows;
+        // One verdict for the whole group (or none yet): broadcast it.
+        let decline = out.get(start).copied().unwrap_or(false);
+        out.resize(start + sizes.len(), decline);
     }
 
     /// Feeds back a completed read.

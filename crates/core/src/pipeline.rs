@@ -263,15 +263,22 @@ impl Trained {
         for row in rows.chunks_exact(dim) {
             scaled.clear();
             scaled.extend_from_slice(row);
-            if let Some(s) = &self.scaler {
-                s.transform_row(&mut scaled);
-            }
-            sink(match &self.quantized {
-                Some(q) => q.predict_with(&scaled, scratch),
-                None => self.mlp.predict(&scaled),
-            });
+            sink(self.score_row(&mut scaled, scratch));
         }
         scratch.put_rows(scaled);
+    }
+
+    /// Scales one raw feature row in place and returns its
+    /// slow-probability from the decision kernel (the f32 network when the
+    /// architecture was not quantizable).
+    pub(crate) fn score_row(&self, row: &mut [f32], scratch: &mut BatchScratch) -> f32 {
+        if let Some(s) = &self.scaler {
+            s.transform_row(row);
+        }
+        match &self.quantized {
+            Some(q) => q.predict_with(row, scratch),
+            None => self.mlp.predict(row),
+        }
     }
 
     /// Appends the slow-probability of every row of a row-major batch of

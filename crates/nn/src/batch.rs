@@ -6,19 +6,31 @@
 //! row costs nothing a cross-row sweep would save). A row first runs the
 //! **i32 pass**: i16 activations against the pair-interleaved i16 weight
 //! pack, `acc[o] += w[k][o]·a[k] + w[k+1][o]·a[k+1]` in i32 (`pmaddwd` on
-//! x86-64, where SSE2 is baseline), checking after every requantize that
-//! `max|a|` is within the next layer's exactness bound. On a miss that row
-//! reruns through the **i64 pass** — the canonical i32×i64→i64 arithmetic,
+//! x86-64), one register block of [`BLOCK`] outputs at a time: the block is
+//! requantized, bound-checked and narrowed in registers and stored straight
+//! into the next layer's input. The block loop and its epilogue are written
+//! once over the [`Lanes`] primitives and run at the widest lanes the CPU
+//! has. After every requantize `max|a|` must be within the next layer's
+//! exactness bound; on a miss that row reruns through the **i64 pass** —
+//! the canonical i32×i64→i64 arithmetic,
 //! saturating activations at the same bound taken at i64 width. Integer
 //! arithmetic is exact at both widths, so whichever pass answers, the logit
 //! is **bitwise identical** to the i64 pass alone.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use crate::quantized::QuantizedMlp;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::cell::RefCell;
+
+/// Outputs per register block of the i32 pass. Every layer's pack is
+/// zero-padded to a multiple of this, so no lane width needs a tail loop.
+pub(crate) const BLOCK: usize = 16;
 
 /// Reusable scratch arena for the row kernel: current and next activation
 /// vector at each width (two halves of one buffer, swapping roles layer by
-/// layer), the i32 accumulators, and one staged input row.
+/// layer) and one staged input row.
 ///
 /// Construct once per deployment site and pass to every `*_into` call; the
 /// buffers grow to the widest layer of the widest model seen — never with
@@ -26,7 +38,6 @@ use std::cell::RefCell;
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     a16: Vec<i16>,
-    acc: Vec<i32>,
     /// Allocated by the first row that falls back to the i64 pass.
     a64: Vec<i64>,
     /// f32 staging for one scaler-transformed input row.
@@ -55,8 +66,7 @@ impl BatchScratch {
 
     /// Detaches the input-row staging buffer (cleared) for callers that
     /// transform a row before scoring it; hand it back with
-    /// [`BatchScratch::put_rows`] so its capacity is reused. The kernel
-    /// never touches this buffer, so it stays valid across scoring calls.
+    /// [`BatchScratch::put_rows`]. The kernel never touches this buffer.
     pub fn take_rows(&mut self) -> Vec<f32> {
         let mut v = std::mem::take(&mut self.scaled);
         v.clear();
@@ -69,135 +79,332 @@ impl BatchScratch {
     }
 }
 
-/// The current and next activation vectors of layer `li`: the two
-/// `width`-long halves of `buf` (grown if shorter), roles alternating with
-/// the layer index.
-fn halves<T: Clone + Default>(buf: &mut Vec<T>, width: usize, li: usize) -> (&mut [T], &mut [T]) {
+/// The current and next activation vectors of a row, each at least `width`
+/// long: the halves of `buf`, sized once per row and swapped layer by layer.
+fn planes<T: Clone + Default>(buf: &mut Vec<T>, width: usize) -> (&mut [T], &mut [T]) {
     if buf.len() < 2 * width {
         buf.resize(2 * width, T::default());
     }
-    let (lo, hi) = buf.split_at_mut(width);
-    if li.is_multiple_of(2) {
-        (lo, &mut hi[..width])
-    } else {
-        (&mut hi[..width], lo)
+    buf.split_at_mut(width)
+}
+
+/// One vector of i32 accumulators: the primitive operations the i32 pass is
+/// written in. The instances — plain arrays, SSE2, AVX2 — differ in these
+/// one-liners only; the block loop and the epilogue exist once.
+///
+/// # Safety
+///
+/// Every method requires that the CPU supports the instance's instruction
+/// set and that a pointer is valid for the stated (unaligned) access.
+trait Lanes: Copy {
+    /// i32 lanes per vector.
+    const N: usize;
+    /// `v` on every lane.
+    unsafe fn splat(v: i32) -> Self;
+    /// Reads `N` i32 at `p`.
+    unsafe fn load(p: *const i32) -> Self;
+    /// `pmaddwd`: lane `l` gains `w[2l]·lo + w[2l+1]·hi` for the i16 pair
+    /// `pair` holds on every lane; reads `2N` i16 at `w`.
+    unsafe fn madd(self, w: *const i16, pair: Self) -> Self;
+    /// `max(self, 0) >> k` per lane.
+    unsafe fn relu_shr(self, k: u32) -> Self;
+    /// Lane-wise maximum.
+    unsafe fn max(self, other: Self) -> Self;
+    /// Writes `N` i32 at `p`.
+    unsafe fn store(self, p: *mut i32);
+    /// Narrows `self` then `hi` to i16 with saturation and writes the `2N`
+    /// values at `p` in lane order.
+    unsafe fn store_i16(self, hi: Self, p: *mut i16);
+}
+
+/// Plain arrays: the lanes of other targets, and the executable model the
+/// vector instances are tested against.
+// SAFETY (the three impls, whose `unsafe fn` bodies carry no inner blocks):
+// every operation is safe, an intrinsic of the instance's instruction set,
+// or an access of exactly the documented extent — the trait's contract.
+#[allow(unsafe_op_in_unsafe_fn)]
+impl Lanes for [i32; 8] {
+    const N: usize = 8;
+    #[inline(always)]
+    unsafe fn splat(v: i32) -> Self {
+        [v; 8]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const i32) -> Self {
+        p.cast::<Self>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn madd(mut self, w: *const i16, pair: Self) -> Self {
+        let w = w.cast::<[[i16; 2]; 8]>().read_unaligned();
+        let (lo, hi) = ((pair[0] as i16) as i32, pair[0] >> 16);
+        for (acc, w) in self.iter_mut().zip(w) {
+            *acc += w[0] as i32 * lo + w[1] as i32 * hi;
+        }
+        self
+    }
+    #[inline(always)]
+    unsafe fn relu_shr(self, k: u32) -> Self {
+        self.map(|v| v.max(0) >> k)
+    }
+    #[inline(always)]
+    unsafe fn max(self, other: Self) -> Self {
+        std::array::from_fn(|l| self[l].max(other[l]))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut i32) {
+        p.cast::<Self>().write_unaligned(self)
+    }
+    #[inline(always)]
+    unsafe fn store_i16(self, hi: Self, p: *mut i16) {
+        let narrow = |v: i32| v.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+        p.cast::<[[i16; 8]; 2]>()
+            .write_unaligned([self.map(narrow), hi.map(narrow)])
     }
 }
 
-/// `acc[o] += Σ_k w[k][o][0]·a[2k] + w[k][o][1]·a[2k+1]` over the
-/// pair-interleaved pack `w = [a.len() / 2][acc.len()][2]`, for NV vectors
-/// of four outputs whose pack columns start at `w[0]`.
+/// SSE2, the x86-64 baseline (no `pmaxsd` before SSE4.1: maxima are
+/// compare-and-blend).
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn madd_block<const NV: usize>(w: &[i16], stride: usize, a: &[i16], acc: &mut [i32]) {
-    use std::arch::x86_64::*;
-    let pairs = a.len() / 2;
-    assert!(acc.len() == 4 * NV && (pairs == 0 || w.len() >= (pairs - 1) * stride + 8 * NV));
-    // SAFETY: SSE2 is part of the x86-64 baseline. Each weight load reads 8
-    // i16 at `w[k * stride + 8 * v..]` with `k < pairs`, `v < NV`, inside
-    // `w` by the assert above; accumulator loads and stores touch
-    // `acc[4 * v..4 * v + 4]` with `v < NV`, inside `acc` by the same
-    // assert; the unaligned load/store forms carry no alignment requirement.
+#[allow(unsafe_op_in_unsafe_fn)]
+impl Lanes for __m128i {
+    const N: usize = 4;
+    #[inline(always)]
+    unsafe fn splat(v: i32) -> Self {
+        _mm_set1_epi32(v)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const i32) -> Self {
+        _mm_loadu_si128(p.cast())
+    }
+    #[inline(always)]
+    unsafe fn madd(self, w: *const i16, pair: Self) -> Self {
+        _mm_add_epi32(self, _mm_madd_epi16(_mm_loadu_si128(w.cast()), pair))
+    }
+    #[inline(always)]
+    unsafe fn relu_shr(self, k: u32) -> Self {
+        let relu = _mm_andnot_si128(_mm_srai_epi32::<31>(self), self);
+        _mm_srl_epi32(relu, _mm_cvtsi32_si128(k as i32))
+    }
+    #[inline(always)]
+    unsafe fn max(self, other: Self) -> Self {
+        let gt = _mm_cmpgt_epi32(self, other);
+        _mm_or_si128(_mm_and_si128(gt, self), _mm_andnot_si128(gt, other))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut i32) {
+        _mm_storeu_si128(p.cast(), self)
+    }
+    #[inline(always)]
+    unsafe fn store_i16(self, hi: Self, p: *mut i16) {
+        _mm_storeu_si128(p.cast(), _mm_packs_epi32(self, hi))
+    }
+}
+
+/// AVX2: half the instructions of SSE2 per row, with the weight load folded
+/// into `vpmaddwd`. Only reachable through [`QuantizedMlp::narrow_row_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_op_in_unsafe_fn)]
+impl Lanes for __m256i {
+    const N: usize = 8;
+    #[inline(always)]
+    unsafe fn splat(v: i32) -> Self {
+        _mm256_set1_epi32(v)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const i32) -> Self {
+        _mm256_loadu_si256(p.cast())
+    }
+    #[inline(always)]
+    unsafe fn madd(self, w: *const i16, pair: Self) -> Self {
+        _mm256_add_epi32(self, _mm256_madd_epi16(_mm256_loadu_si256(w.cast()), pair))
+    }
+    #[inline(always)]
+    unsafe fn relu_shr(self, k: u32) -> Self {
+        let relu = _mm256_max_epi32(self, _mm256_setzero_si256());
+        _mm256_srl_epi32(relu, _mm_cvtsi32_si128(k as i32))
+    }
+    #[inline(always)]
+    unsafe fn max(self, other: Self) -> Self {
+        _mm256_max_epi32(self, other)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut i32) {
+        _mm256_storeu_si256(p.cast(), self)
+    }
+    #[inline(always)]
+    unsafe fn store_i16(self, hi: Self, p: *mut i16) {
+        // `vpackssdw` interleaves the 128-bit halves of its operands; the
+        // permute restores lane order.
+        let packed = _mm256_permute4x64_epi64::<0xD8>(_mm256_packs_epi32(self, hi));
+        _mm256_storeu_si256(p.cast(), packed)
+    }
+}
+
+/// The block loop: `NV` vectors of accumulators for `NV·N` consecutive
+/// outputs, started from their biases at `b` and swept over their columns of
+/// the pair-interleaved pack (`w`, `stride` i16 between input pairs):
+/// `b[o] + Σ_k w[k][o][0]·a[2k] + w[k][o][1]·a[2k+1]`.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s instruction set; `b` must be readable for
+/// `NV·N` i32 and `w + k·stride` for `2·NV·N` i16 for every `k < a.len() / 2`.
+#[inline(always)]
+unsafe fn madd_block<L: Lanes, const NV: usize>(
+    w: *const i16,
+    stride: usize,
+    b: *const i32,
+    a: &[i16],
+) -> [L; NV] {
+    // SAFETY: exactly the accesses of the contract above, `v < NV`.
     unsafe {
-        let mut r = [_mm_setzero_si128(); NV];
-        for (v, r) in r.iter_mut().enumerate() {
-            *r = _mm_loadu_si128(acc.as_ptr().add(4 * v).cast());
-        }
+        let mut r: [L; NV] = std::array::from_fn(|v| L::load(b.add(v * L::N)));
         for (k, pair) in a.chunks_exact(2).enumerate() {
-            let pair =
-                _mm_set1_epi32((pair[0] as u16 as u32 | (pair[1] as u16 as u32) << 16) as i32);
-            let wk = w.as_ptr().add(k * stride);
+            let pair = L::splat((pair[0] as u16 as u32 | (pair[1] as u16 as u32) << 16) as i32);
             for (v, r) in r.iter_mut().enumerate() {
-                let wv = _mm_loadu_si128(wk.add(8 * v).cast());
-                *r = _mm_add_epi32(*r, _mm_madd_epi16(wv, pair));
+                *r = r.madd(w.add(k * stride + 2 * v * L::N), pair);
             }
         }
-        for (v, r) in r.iter().enumerate() {
-            _mm_storeu_si128(acc.as_mut_ptr().add(4 * v).cast(), *r);
-        }
+        r
     }
 }
 
-/// The i32 pass's inner loop over one layer (see [`madd_block`] for the
-/// sum): 16 outputs per block while they last, then 4.
-#[cfg(target_arch = "x86_64")]
-fn madd_rows(w: &[i16], a: &[i16], acc: &mut [i32]) {
-    let stride = 2 * acc.len();
-    assert!(acc.len().is_multiple_of(4) && w.len() == a.len() / 2 * stride);
-    let mut o = 0;
-    while o + 16 <= acc.len() {
-        madd_block::<4>(&w[2 * o..], stride, a, &mut acc[o..o + 16]);
-        o += 16;
-    }
-    while o < acc.len() {
-        madd_block::<1>(&w[2 * o..], stride, a, &mut acc[o..o + 4]);
-        o += 4;
-    }
+/// Round-half-away-from-zero of `t`, clamped to ±2¹⁶, without libm
+/// (`f32::round` is a call before SSE4.1): `t ± 0.5` is exact in f64 wherever
+/// `t` is not already an integer, and the conversion truncates. NaN maps to
+/// 0 as `t.round() as i32` does. The clamp lies beyond every `amax <= 32767`,
+/// so a row it touches is declined whatever it stores — and it lets the
+/// conversion run unchecked, the form LLVM vectorizes.
+#[inline(always)]
+fn round_clamped(t: f32) -> i32 {
+    let t = t as f64;
+    let r = t + 0.5f64.copysign(t);
+    let r = if r.is_nan() {
+        0.0
+    } else {
+        r.clamp(-65536.0, 65536.0)
+    };
+    // SAFETY: `r` is not NaN and within ±2¹⁶ by the lines above.
+    unsafe { r.to_int_unchecked() }
 }
-
-/// The same sum in safe scalar code: the inner loop on other targets and
-/// the model the SSE2 loop is tested against.
-#[cfg(any(test, not(target_arch = "x86_64")))]
-fn madd_rows_portable(w: &[i16], a: &[i16], acc: &mut [i32]) {
-    assert_eq!(w.len(), a.len() * acc.len());
-    for (wk, ak) in w.chunks_exact(2 * acc.len()).zip(a.chunks_exact(2)) {
-        for (acc, wo) in acc.iter_mut().zip(wk.chunks_exact(2)) {
-            *acc += wo[0] as i32 * ak[0] as i32 + wo[1] as i32 * ak[1] as i32;
-        }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-use madd_rows_portable as madd_rows;
 
 impl QuantizedMlp {
     /// The i32 pass over one row; `None` as soon as an activation exceeds
-    /// the bound of the layer about to consume it.
+    /// the bound of the layer about to consume it. Runs at the widest lanes
+    /// the CPU has (and `lane_bits` allows).
     pub(crate) fn narrow_row(&self, x: &[f32], s: &mut BatchScratch) -> Option<f32> {
+        match self.lane_bits {
+            // SAFETY: AVX2 was observed on this CPU in the guard.
+            #[cfg(target_arch = "x86_64")]
+            256.. if std::is_x86_feature_detected!("avx2") => unsafe { self.narrow_row_avx2(x, s) },
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            #[cfg(target_arch = "x86_64")]
+            128.. => unsafe { self.narrow_row_in::<__m128i, 4>(x, s) },
+            // SAFETY: the array lanes use no target-specific instruction.
+            _ => unsafe { self.narrow_row_in::<[i32; 8], 2>(x, s) },
+        }
+    }
+
+    /// [`QuantizedMlp::narrow_row_in`] compiled for AVX2: the whole row is
+    /// inlined here, so no `__m256i` crosses a boundary lacking the feature.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have observed AVX2 on the running CPU.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn narrow_row_avx2(&self, x: &[f32], s: &mut BatchScratch) -> Option<f32> {
+        // SAFETY: AVX2 is enabled here and present by the caller's contract.
+        unsafe { self.narrow_row_in::<__m256i, 2>(x, s) }
+    }
+
+    /// The i32 pass over `NV`-vector register blocks of `L`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `L`'s instruction set.
+    #[inline(always)]
+    unsafe fn narrow_row_in<L: Lanes, const NV: usize>(
+        &self,
+        x: &[f32],
+        s: &mut BatchScratch,
+    ) -> Option<f32> {
+        const { assert!(NV * L::N == BLOCK && NV.is_multiple_of(2)) };
         assert_eq!(x.len(), self.input_dim(), "input dimensionality mismatch");
         let scale = self.scale as f32;
         let first = self.layers.first()?;
-        let (input, _) = halves(&mut s.a16, self.width, 0);
-        input[x.len()..first.in_pad()].fill(0);
-        let m = input.iter_mut().zip(x).fold(0, |m, (a, &v)| {
-            let q = (v * scale).round() as i32;
+        let (mut cur, mut out) = planes(&mut s.a16, self.width);
+        cur[first.in_pad() - 1] = 0; // the zero padding of an odd input width
+        let mut m = 0;
+        for (a, &v) in cur.iter_mut().zip(x) {
+            let q = round_clamped(v * scale);
             *a = q as i16;
-            m.max(q.saturating_abs())
-        });
+            m = m.max(q.abs());
+        }
         if m > first.amax {
             return None;
         }
-        s.acc.resize(s.acc.len().max(self.width), 0);
+        let mut spill = [0i32; BLOCK];
         for (li, layer) in self.layers.iter().enumerate() {
-            let (cur, out) = halves(&mut s.a16, self.width, li);
-            let acc = &mut s.acc[..layer.b32.len()];
-            acc.copy_from_slice(&layer.b32);
-            madd_rows(&layer.w16, &cur[..layer.in_pad()], acc);
+            let (pairs, out_pad) = (layer.in_pad() / 2, layer.b32.len());
+            let (w, b, stride) = (layer.w16.as_ptr(), layer.b32.as_ptr(), 2 * out_pad);
+            assert!(
+                cur.len() >= 2 * pairs
+                    && layer.w16.len() == pairs * stride
+                    && (out_pad >= BLOCK && out_pad.is_multiple_of(BLOCK) && out.len() >= out_pad)
+            );
+            let a = &cur[..2 * pairs];
             let Some(next) = self.layers.get(li + 1) else {
-                return Some(self.requant(acc[0] as i64, layer.neg_slope_q) as f32 / scale);
+                // SAFETY: the caller vouches for the instruction set. One
+                // vector reads `b32[..N]` and `w16[k·stride..][..2N]` for
+                // `k < pairs`, inside both slices because `N <= BLOCK <=
+                // out_pad` by the assert above; `spill` holds `BLOCK` i32.
+                unsafe { madd_block::<L, 1>(w, stride, b, a)[0].store(spill.as_mut_ptr()) };
+                return Some(self.requant(spill[0] as i64, layer.neg_slope_q) as f32 / scale);
             };
-            // Plain ReLU at a power-of-two scale requantizes as `max(0) >> k`,
-            // which vectorizes. Either way an `as i16` can only truncate a
-            // value above 32767 ≥ `next.amax`, and that row is declined
-            // before the value is read.
-            out[layer.out_dim..next.in_pad()].fill(0);
-            let acc = &acc[..layer.out_dim];
-            let m = if let Some(k) = self.shift.filter(|_| layer.neg_slope_q == 0) {
-                out.iter_mut().zip(acc).fold(0, |m, (y, &acc)| {
-                    let v = acc.max(0) >> k;
-                    *y = v as i16;
-                    m.max(v)
-                }) as i64
-            } else {
-                out.iter_mut().zip(acc).fold(0, |m, (y, &acc)| {
-                    let v = self.requant(acc as i64, layer.neg_slope_q);
-                    *y = v as i16;
-                    m.max(v.saturating_abs())
-                })
-            };
+            // The epilogue stays in registers for plain ReLU at a
+            // power-of-two scale (`max(0) >> k`); any other slope or scale
+            // spills the block to the one scalar `requant`. Padded outputs
+            // requantize to exactly 0: the next layer's zero padding.
+            // Narrowing can only clip a value above 32767 >= `next.amax`,
+            // and that row is declined before the value is read.
+            let shift = self.shift.filter(|_| layer.neg_slope_q == 0);
+            let mut m = 0i64;
+            // SAFETY: the caller vouches for the instruction set. Block `o`
+            // (`o + BLOCK <= out_pad`, `NV·N == BLOCK`) reads
+            // `b32[o..][..BLOCK]` and `w16[k·stride + 2o..][..2·BLOCK]` for
+            // `k < pairs` and writes `out[o..][..BLOCK]`, inside all three
+            // slices by the assert above; `spill` holds `BLOCK` i32.
+            unsafe {
+                let mut vmax = L::splat(0);
+                for o in (0..out_pad).step_by(BLOCK) {
+                    let mut r = madd_block::<L, NV>(w.add(2 * o), stride, b.add(o), a);
+                    if let Some(k) = shift {
+                        for r in &mut r {
+                            *r = r.relu_shr(k);
+                            vmax = vmax.max(*r);
+                        }
+                        for (v, r) in r.chunks_exact(2).enumerate() {
+                            r[0].store_i16(r[1], out.as_mut_ptr().add(o + 2 * v * L::N));
+                        }
+                    } else {
+                        for (v, r) in r.iter().enumerate() {
+                            r.store(spill.as_mut_ptr().add(v * L::N));
+                        }
+                        for (y, &acc) in out[o..o + BLOCK].iter_mut().zip(&spill) {
+                            let v = self.requant(acc as i64, layer.neg_slope_q);
+                            *y = v as i16;
+                            m = m.max(v.saturating_abs());
+                        }
+                    }
+                }
+                vmax.store(spill.as_mut_ptr());
+                m = spill[..L::N].iter().fold(m, |m, &v| m.max(v as i64));
+            }
             if m > next.amax as i64 {
                 return None;
             }
+            std::mem::swap(&mut cur, &mut out);
         }
         None
     }
@@ -209,13 +416,12 @@ impl QuantizedMlp {
         assert_eq!(x.len(), self.input_dim(), "input dimensionality mismatch");
         let scale = self.scale as f32;
         let bound = self.layers.first().map_or(0, |l| l.amax64);
-        let (input, _) = halves(&mut s.a64, self.width, 0);
-        for (a, &v) in input.iter_mut().zip(x) {
+        let (mut cur, mut out) = planes(&mut s.a64, self.width);
+        for (a, &v) in cur.iter_mut().zip(x) {
             *a = ((v * scale).round() as i64).clamp(-bound, bound);
         }
         for (li, layer) in self.layers.iter().enumerate() {
             let bound = self.layers.get(li + 1).map_or(i64::MAX, |l| l.amax64);
-            let (cur, out) = halves(&mut s.a64, self.width, li);
             for ((y, row), &b) in out
                 .iter_mut()
                 .zip(layer.w.chunks(layer.in_dim))
@@ -226,18 +432,16 @@ impl QuantizedMlp {
                     .requant(b + dot, layer.neg_slope_q)
                     .clamp(-bound, bound);
             }
+            std::mem::swap(&mut cur, &mut out);
         }
-        let (logit, _) = halves(&mut s.a64, self.width, self.layers.len());
-        logit[0] as f32 / scale
+        cur[0] as f32 / scale
     }
 
     /// Raw dequantized logit for one (already scaled) row — the one kernel
     /// every quantized entry point goes through.
     pub(crate) fn logit_with(&self, x: &[f32], scratch: &mut BatchScratch) -> f32 {
-        match self.narrow_row(x, scratch) {
-            Some(z) => z,
-            None => self.wide_row(x, scratch),
-        }
+        let narrow = self.narrow_row(x, scratch);
+        narrow.unwrap_or_else(|| self.wide_row(x, scratch))
     }
 
     /// The P rows of a row-major `P × input_dim` batch.
@@ -321,8 +525,9 @@ impl QuantizedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
     use crate::data::Dataset;
-    use crate::mlp::{Mlp, MlpConfig, TrainOpts};
+    use crate::mlp::{Mlp, MlpConfig, OutputLayer, TrainOpts};
     use heimdall_trace::rng::Rng64;
 
     fn toy(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -420,47 +625,75 @@ mod tests {
     }
 
     #[test]
-    fn madd_rows_matches_sequential() {
-        // The target's inner loop (SSE2 on x86-64) against the portable
-        // loop and a sequential i64 dot product, over odd input widths and
-        // output widths that are not a multiple of 4 or 16.
+    fn every_lane_instance_matches_the_portable_model() {
+        // Whole rows — block loop plus epilogue — through each lane instance
+        // the host can run, against the portable lanes (same logit or same
+        // decline, same stored activations) and the i64 pass, over odd input
+        // widths, output widths that fill several blocks and leave a ragged
+        // one, every epilogue kind, and a decline at each layer in turn.
+        let acts = [
+            Activation::ReLU,
+            Activation::LeakyReLU(0.1),
+            Activation::Linear,
+        ];
+        let shapes: [&[usize]; 5] = [&[1], &[3, 5], &[11, 128, 16], &[31, 20, 130], &[16, 200]];
         let mut rng = Rng64::new(10);
-        for (in_dim, out_dim) in [(1, 1), (3, 5), (11, 128), (128, 16), (16, 1), (31, 20)] {
-            let (in_pad, out_pad) = (
-                usize::next_multiple_of(in_dim, 2),
-                usize::next_multiple_of(out_dim, 4),
-            );
-            let mut draw = |n: usize| -> Vec<i16> {
-                (0..n)
-                    .map(|_| (rng.next_u64() % 4096) as i16 - 2048)
-                    .collect()
+        let (mut hits, mut declines) = (0, 0);
+        for (case, shape) in shapes.iter().enumerate() {
+            let cfg = MlpConfig {
+                input_dim: shape[0],
+                hidden: (shape[1..].iter().enumerate())
+                    .map(|(i, &units)| (units, acts[(case + i) % 3]))
+                    .collect(),
+                output: OutputLayer::Sigmoid,
             };
-            let (w, a) = (draw(in_pad * out_pad), draw(in_pad));
-            let bias: Vec<i32> = draw(out_pad).iter().map(|&b| b as i32 * 1024).collect();
-            let (mut fast, mut portable) = (bias.clone(), bias.clone());
-            madd_rows(&w, &a, &mut fast);
-            madd_rows_portable(&w, &a, &mut portable);
-            assert_eq!(fast, portable, "{in_dim}x{out_dim}");
-            for o in 0..out_pad {
-                let dot: i64 = (0..in_pad)
-                    .map(|k| w[(k / 2 * out_pad + o) * 2 + k % 2] as i64 * a[k] as i64)
-                    .sum();
-                assert_eq!(
-                    fast[o] as i64,
-                    bias[o] as i64 + dot,
-                    "{in_dim}x{out_dim} row {o}"
-                );
+            let mut mlp = Mlp::new(cfg, case as u64);
+            mlp.map_params(|p| if p == 0.0 { 0.3 } else { p * 4.0 });
+            for scale in [1024, 1000] {
+                let q = QuantizedMlp::quantize(&mlp, scale);
+                // `None`: the model as quantized; `Some(l)`: layer `l`
+                // accepts only all-zero inputs, so any live row declines
+                // there.
+                for forced in std::iter::once(None).chain((0..shape.len()).map(Some)) {
+                    let mut q = q.clone();
+                    if let Some(layer) = forced {
+                        q.clamp_narrow_bound(layer, 0);
+                    }
+                    for _ in 0..40 {
+                        let x: Vec<f32> = (0..shape[0]).map(|_| rng.f32() * 3.0 - 1.0).collect();
+                        let mut model = BatchScratch::new();
+                        q.lane_bits = 0;
+                        let want = q.narrow_row(&x, &mut model).map(f32::to_bits);
+                        for bits in [128, 256] {
+                            let mut scratch = BatchScratch::new();
+                            q.lane_bits = bits;
+                            let got = q.narrow_row(&x, &mut scratch).map(f32::to_bits);
+                            assert_eq!(got, want, "{shape:?} ×{scale} {forced:?} {bits} bits");
+                            assert_eq!(scratch.a16, model.a16, "{shape:?} ×{scale} {bits} bits");
+                        }
+                        match (forced, want) {
+                            (Some(layer), Some(_)) => panic!("{shape:?}: no decline at {layer}"),
+                            (_, None) => declines += 1,
+                            (None, Some(z)) => {
+                                assert_eq!(z, q.wide_row(&x, &mut model).to_bits(), "{shape:?}");
+                                hits += 1;
+                            }
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            hits > 200 && declines > 200,
+            "{hits} hits, {declines} declines"
+        );
     }
 
     #[test]
     fn scratch_capacity_does_not_grow_with_batch_size() {
         let q = trained(5, 11);
         let bytes = |s: &BatchScratch| {
-            2 * s.a16.capacity()
-                + 4 * (s.acc.capacity() + s.scaled.capacity())
-                + 8 * s.a64.capacity()
+            2 * s.a16.capacity() + 4 * s.scaled.capacity() + 8 * s.a64.capacity()
         };
         let mut scratch = BatchScratch::new();
         let mut out = Vec::new();

@@ -12,7 +12,7 @@
 //! `i64` width whenever a bound is missed.
 
 use crate::activation::{sigmoid, Activation};
-use crate::batch::BatchScratch;
+use crate::batch::{BatchScratch, BLOCK};
 use crate::mlp::Mlp;
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,6 @@ pub const PAPER_SCALE: i32 = 1024;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct QLayer {
     pub(crate) in_dim: usize,
-    pub(crate) out_dim: usize,
     /// Row-major `[out][in]`, weights × scale.
     pub(crate) w: Vec<i32>,
     /// Biases × scale² (so they add directly to the pre-rescale accumulator
@@ -35,8 +34,9 @@ pub(crate) struct QLayer {
     /// activations, so no accumulator can wrap in either build profile.
     pub(crate) amax64: i64,
     /// Derived cache of `w` for the i32 pass: pair-interleaved
-    /// `[in_pad / 2][out_pad][2]`, input dim padded to even and output dim
-    /// to a multiple of 4 with zeros.
+    /// `[in_pad / 2][out_pad][2]`, input dim zero-padded to even and output
+    /// dim to whole register blocks. A padded output (zero weights, zero
+    /// bias) requantizes to exactly 0: the next layer's zero padding.
     pub(crate) w16: Vec<i16>,
     /// `b` at i32 width, zero-padded to `out_pad`.
     pub(crate) b32: Vec<i32>,
@@ -62,8 +62,7 @@ fn act_bound(limit: u64, w: &[i32], b: &[i64], in_dim: usize) -> u64 {
 
 impl QLayer {
     fn new(in_dim: usize, w: Vec<i32>, b: Vec<i64>, neg_slope_q: i64) -> QLayer {
-        let out_dim = b.len();
-        let (in_pad, out_pad) = (in_dim.next_multiple_of(2), out_dim.next_multiple_of(4));
+        let (in_pad, out_pad) = (in_dim.next_multiple_of(2), b.len().next_multiple_of(BLOCK));
         let mut w16 = vec![0i16; in_pad * out_pad];
         for (o, row) in w.chunks(in_dim).enumerate() {
             for (k, &wq) in row.iter().enumerate() {
@@ -81,7 +80,6 @@ impl QLayer {
             amax64: act_bound(i64::MAX as u64, &w, &b, in_dim) as i64,
             amax: if fits { amax } else { -1 },
             in_dim,
-            out_dim,
             w,
             b,
             neg_slope_q,
@@ -104,8 +102,11 @@ pub struct QuantizedMlp {
     /// `log2(scale)` when the scale is a power of two: requantization is a
     /// shift then, not a hardware divide.
     pub(crate) shift: Option<u32>,
-    /// Widest padded activation or accumulator plane of any layer.
+    /// Widest padded activation plane of any layer.
     pub(crate) width: usize,
+    /// Widest vector the i32 pass may use, in bits; only
+    /// [`QuantizedMlp::clamp_lane_bits`] lowers it.
+    pub(crate) lane_bits: u32,
     pub(crate) sigmoid_output: bool,
 }
 
@@ -166,6 +167,7 @@ impl QuantizedMlp {
             shift: (scale as u32)
                 .is_power_of_two()
                 .then(|| scale.trailing_zeros()),
+            lane_bits: u32::MAX,
             sigmoid_output: true,
         }
     }
@@ -241,6 +243,14 @@ impl QuantizedMlp {
     #[doc(hidden)]
     pub fn clamp_narrow_bound(&mut self, layer: usize, amax: i32) {
         self.layers[layer].amax = self.layers[layer].amax.min(amax);
+    }
+
+    /// Test hook: caps (never widens) the i32 pass's vector width, so a host
+    /// can run every lane instance up to the one it would choose: 128 stops
+    /// at the x86-64 baseline, 0 selects the portable lanes.
+    #[doc(hidden)]
+    pub fn clamp_lane_bits(&mut self, bits: u32) {
+        self.lane_bits = self.lane_bits.min(bits);
     }
 
     /// Maps a logit to the probability the I/O is slow.

@@ -7,7 +7,8 @@
 //!
 //! 1. **Every quantized entry point ≡ the i64 pass, bitwise.** Integer
 //!    accumulation is exact at both widths, so the batched and scalar entry
-//!    points and whichever pass answers must agree bit for bit — any
+//!    points and whichever pass answers — at every lane width the host can
+//!    run ([`LANE_BITS`]) — must agree bit for bit; any
 //!    mismatch is a kernel bug, counted (never tolerated) in
 //!    [`DiffReport::batch_bitwise_mismatches`]. The share of rows the i32
 //!    pass answered is [`DiffReport::narrow_hit_rate`].
@@ -22,6 +23,11 @@
 
 use heimdall_nn::{BatchScratch, Mlp, MlpConfig, OutputLayer, QuantizedMlp};
 use heimdall_trace::rng::Rng64;
+
+/// Caps for `QuantizedMlp::clamp_lane_bits` that between them select every
+/// lane instance of the i32 pass a host can run: the widest it detects, the
+/// x86-64 baseline, the portable arrays.
+pub const LANE_BITS: [u32; 3] = [256, 128, 0];
 
 /// Differential-run parameters.
 #[derive(Debug, Clone)]
@@ -133,6 +139,11 @@ pub fn run_diff(cfg: &DiffConfig) -> DiffReport {
     for m in 0..cfg.models {
         let model_seed = cfg.seed.wrapping_add(m as u64).wrapping_mul(0x9e37_79b9);
         let (mlp, quant) = random_model(model_seed);
+        let lanes = LANE_BITS.map(|bits| {
+            let mut capped = quant.clone();
+            capped.clamp_lane_bits(bits);
+            capped
+        });
         let dim = quant.input_dim();
         let stream = random_stream(model_seed, cfg.rows_per_model, dim);
 
@@ -156,6 +167,11 @@ pub fn run_diff(cfg: &DiffConfig) -> DiffReport {
                     || batch_probs[r].to_bits() != scalar_prob.to_bits()
                     || quant.logit_wide(row).to_bits() != scalar_logit.to_bits()
                     || narrow.is_some_and(|z| z.to_bits() != scalar_logit.to_bits())
+                    || lanes.iter().any(|capped| {
+                        capped.logit(row).to_bits() != scalar_logit.to_bits()
+                            || capped.logit_narrow(row).map(f32::to_bits)
+                                != narrow.map(f32::to_bits)
+                    })
                 {
                     report.batch_bitwise_mismatches += 1;
                 }

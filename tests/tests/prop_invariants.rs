@@ -17,7 +17,7 @@
 use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_homed, HomedRequest};
 use heimdall_cluster::train::fresh_devices_with_plans;
 use heimdall_cluster::{DeviceLane, EventQueue};
-use heimdall_integration::diff::{random_model, random_stream};
+use heimdall_integration::diff::{random_model, random_stream, LANE_BITS};
 use heimdall_integration::gen::{random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
 use heimdall_metrics::{roc_auc, LatencyRecorder};
@@ -1015,7 +1015,7 @@ fn prop_history_ring_matches_vecdeque_model() {
 /// odd input widths, layer widths that are not a multiple of 4 (1–37, and
 /// 64/128/130/200: several full register blocks plus a ragged tail at every
 /// lane width), power-of-two and other quantization scales, and networks of
-/// one to three layers. A miss
+/// one to three layers — at every lane width the host can run. A miss
 /// forced at each layer in turn must fall back to the same logit, and the
 /// i64 pass must survive every input without overflow (checked arithmetic in
 /// dev, saturation in release).
@@ -1114,33 +1114,40 @@ fn prop_narrow_pass_matches_wide_pass_or_declines() {
                 stream.extend(signs.iter().map(|s| polarity * s * a as f32 / scale as f32));
                 a = a * 4 / 3 + 1;
             }
-            let forced: Vec<QuantizedMlp> = (0..layers)
-                .map(|layer| {
-                    let mut f = q.clone();
-                    f.clamp_narrow_bound(layer, -1);
-                    f
-                })
-                .collect();
-            for (r, row) in stream.chunks_exact(dim).enumerate() {
-                let wide = q.logit_wide(row).to_bits();
-                match q.logit_narrow(row) {
-                    Some(z) if z.to_bits() != wide => {
+            for bits in LANE_BITS {
+                let mut q = q.clone();
+                q.clamp_lane_bits(bits);
+                let forced: Vec<QuantizedMlp> = (0..layers)
+                    .map(|layer| {
+                        let mut f = q.clone();
+                        f.clamp_narrow_bound(layer, -1);
+                        f
+                    })
+                    .collect();
+                for (r, row) in stream.chunks_exact(dim).enumerate() {
+                    let wide = q.logit_wide(row).to_bits();
+                    match q.logit_narrow(row) {
+                        Some(z) if z.to_bits() != wide => {
+                            return Err(format!(
+                                "row {r}: narrow {z} vs wide (amp {amp}, bias {bias}, \
+                                 scale {scale}, {bits}-bit lanes)"
+                            ));
+                        }
+                        Some(_) => hits.set(hits.get() + 1),
+                        None => declines.set(declines.get() + 1),
+                    }
+                    if q.logit(row).to_bits() != wide {
                         return Err(format!(
-                            "row {r}: narrow {z} vs wide (amp {amp}, bias {bias}, scale {scale})"
+                            "row {r}: kernel diverged from the i64 pass ({bits}-bit lanes)"
                         ));
                     }
-                    Some(_) => hits.set(hits.get() + 1),
-                    None => declines.set(declines.get() + 1),
-                }
-                if q.logit(row).to_bits() != wide {
-                    return Err(format!("row {r}: kernel diverged from the i64 pass"));
-                }
-                for (layer, f) in forced.iter().enumerate() {
-                    if f.logit_narrow(row).is_some() {
-                        return Err(format!("row {r}: no decline at forced layer {layer}"));
-                    }
-                    if f.logit(row).to_bits() != wide {
-                        return Err(format!("row {r}: fallback from layer {layer} diverged"));
+                    for (layer, f) in forced.iter().enumerate() {
+                        if f.logit_narrow(row).is_some() {
+                            return Err(format!("row {r}: no decline at forced layer {layer}"));
+                        }
+                        if f.logit(row).to_bits() != wide {
+                            return Err(format!("row {r}: fallback from layer {layer} diverged"));
+                        }
                     }
                 }
             }
