@@ -6,10 +6,10 @@
 //! row costs nothing a cross-row sweep would save). A row first runs the
 //! **i32 pass**: i16 activations against the pair-interleaved i16 weight
 //! pack, `acc[o] += w[k][o]·a[k] + w[k+1][o]·a[k+1]` in i32 (`pmaddwd` on
-//! x86-64), one register block of [`BLOCK`] outputs at a time: the block is
+//! x86-64), one register block of `BLOCK` outputs at a time: the block is
 //! requantized, bound-checked and narrowed in registers and stored straight
 //! into the next layer's input. The block loop and its epilogue are written
-//! once over the [`Lanes`] primitives and run at the widest lanes the CPU
+//! once over the `Lanes` primitives and run at the widest lanes the CPU
 //! has. After every requantize `max|a|` must be within the next layer's
 //! exactness bound; on a miss that row reruns through the **i64 pass** —
 //! the canonical i32×i64→i64 arithmetic,
