@@ -166,13 +166,20 @@ pub fn from_bytes(name: &str, data: &[u8]) -> Result<Trace, TraceIoError> {
             reason: format!("unsupported version {version}"),
         });
     }
-    let count = buf.get_u64_le() as usize;
-    if buf.remaining() < count * 21 {
-        return Err(TraceIoError::Parse {
-            at: 0,
-            reason: "truncated body".into(),
-        });
-    }
+    // The count is untrusted: its byte length must not overflow, and the
+    // records it announces must all be present before anything is sized
+    // from it.
+    let count = buf.get_u64_le();
+    let body = count.checked_mul(21).and_then(|n| usize::try_from(n).ok());
+    let count = match body {
+        Some(n) if n <= buf.remaining() => n / 21,
+        _ => {
+            return Err(TraceIoError::Parse {
+                at: 0,
+                reason: format!("truncated body: header announces {count} records"),
+            })
+        }
+    };
     let mut requests = Vec::with_capacity(count);
     let mut prev = 0u64;
     for i in 0..count {
@@ -281,6 +288,20 @@ mod tests {
         assert!(from_bytes("t", &bad_version).is_err());
         let truncated = &bytes[..bytes.len() - 5];
         assert!(from_bytes("t", truncated).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_record_counts_whose_byte_length_overflows() {
+        let mut bytes = to_bytes(&sample()).to_vec();
+        for count in [u64::MAX / 21 + 1, u64::MAX, u64::MAX / 21] {
+            bytes[5..13].copy_from_slice(&count.to_le_bytes());
+            match from_bytes("t", &bytes) {
+                Err(TraceIoError::Parse { at: 0, reason }) => {
+                    assert!(reason.contains("truncated body"), "{reason}")
+                }
+                other => panic!("count {count}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
