@@ -210,8 +210,27 @@ impl DeviceConfig {
         if self.parallelism == 0 {
             return Err("parallelism must be at least 1".into());
         }
-        if self.read_bw_bpus <= 0.0 || self.write_bw_bpus <= 0.0 || self.drain_bw_bpus <= 0.0 {
-            return Err("bandwidths must be positive".into());
+        // Rates divide service times, and the means seed exponential and
+        // log-normal draws: each must be a finite positive number (a NaN
+        // fails every comparison, so test for what is allowed).
+        let positive = [
+            ("read_bw_bpus", self.read_bw_bpus),
+            ("write_bw_bpus", self.write_bw_bpus),
+            ("drain_bw_bpus", self.drain_bw_bpus),
+            ("gc_duration_us", self.gc_duration_us),
+            ("wear_leveling_interval_us", self.wear_leveling_interval_us),
+            ("wear_leveling_duration_us", self.wear_leveling_duration_us),
+        ];
+        for (name, v) in positive {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{name} must be finite and positive, got {v}"));
+            }
+        }
+        if !(self.jitter_sigma.is_finite() && self.jitter_sigma >= 0.0) {
+            return Err(format!(
+                "jitter_sigma must be finite and non-negative, got {}",
+                self.jitter_sigma
+            ));
         }
         if !(0.0..=1.0).contains(&self.gc_threshold) {
             return Err("gc_threshold must be in [0,1]".into());
@@ -264,6 +283,42 @@ mod tests {
         let mut cfg = DeviceConfig::datacenter_nvme();
         cfg.cache_hit_prob = 1.5;
         assert!(cfg.validate().is_err());
+    }
+
+    /// One negative case per field that used to pass validation and then
+    /// panic (`Rng64::exponential`'s assert) or divide by it.
+    #[test]
+    fn validate_rejects_non_finite_or_non_positive_rates_and_durations() {
+        type Field = fn(&mut DeviceConfig) -> &mut f64;
+        let fields: [(&str, Field); 7] = [
+            ("read_bw_bpus", |c| &mut c.read_bw_bpus),
+            ("write_bw_bpus", |c| &mut c.write_bw_bpus),
+            ("drain_bw_bpus", |c| &mut c.drain_bw_bpus),
+            ("gc_duration_us", |c| &mut c.gc_duration_us),
+            ("wear_leveling_interval_us", |c| {
+                &mut c.wear_leveling_interval_us
+            }),
+            ("wear_leveling_duration_us", |c| {
+                &mut c.wear_leveling_duration_us
+            }),
+            ("jitter_sigma", |c| &mut c.jitter_sigma),
+        ];
+        for (name, field) in fields {
+            let bad: &[f64] = if name == "jitter_sigma" {
+                &[-0.1, f64::NAN, f64::INFINITY]
+            } else {
+                &[0.0, -1.0, f64::NAN, f64::INFINITY]
+            };
+            for &v in bad {
+                let mut cfg = DeviceConfig::datacenter_nvme();
+                *field(&mut cfg) = v;
+                let err = cfg.validate().expect_err(name);
+                assert!(err.contains(name), "{name} = {v}: {err}");
+            }
+        }
+        let mut quiet = DeviceConfig::datacenter_nvme();
+        quiet.jitter_sigma = 0.0;
+        assert!(quiet.validate().is_ok(), "sigma 0 means no jitter");
     }
 
     #[test]
