@@ -31,6 +31,7 @@
 pub mod config;
 pub mod device;
 pub mod fault;
+mod jitter;
 
 pub use config::DeviceConfig;
 pub use device::{BusyInterval, BusyKind, Completion, DeviceError, DeviceStats, SsdDevice};
