@@ -11,11 +11,11 @@
 //! The backprop lane also splits `Mlp::train` into its phases. The timers
 //! live here, not in the library: this target compiles `nn/src/mlp.rs` into
 //! itself as [`mlp`] to reach the crate-private `Mlp::train_with`, whose
-//! callback fires as each phase of a batch ends. The three minibatch kernels
-//! are `#[inline(never)]` and compile to the same machine code in both
-//! copies; the code around them (gather, loss, optimizer step) is compiled
-//! here, where the optimizer step has measured well above the library's, so
-//! read `phase_ms` as the split and `us_per_row` as the cost.
+//! callback fires as each phase of a batch ends. That copy takes the same
+//! step instance as the library (AVX2 where the CPU has it), but the whole
+//! step — kernels, gather, loss, optimizer step — is compiled here with the
+//! timers inlined between its phases, so it is not the library's machine
+//! code: read `phase_ms` as the split and `us_per_row` as the cost.
 
 use heimdall_bench::report::RunReport;
 use heimdall_bench::timing::Group;
