@@ -67,7 +67,7 @@ pub fn write_csv<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> 
 /// # Errors
 ///
 /// Returns [`TraceIoError::Parse`] with the offending line number on
-/// malformed rows.
+/// malformed rows, including a size of zero or beyond `u32`.
 pub fn read_csv<R: Read>(name: &str, r: R) -> Result<Trace, TraceIoError> {
     let reader = BufReader::new(r);
     let mut requests = Vec::new();
@@ -78,31 +78,25 @@ pub fn read_csv<R: Read>(name: &str, r: R) -> Result<Trace, TraceIoError> {
             continue;
         }
         let mut cols = line.split(',').map(str::trim);
+        let bad = |reason: String| TraceIoError::Parse {
+            at: lineno + 1,
+            reason,
+        };
         let parse = |v: Option<&str>, what: &str| -> Result<u64, TraceIoError> {
             v.and_then(|x| x.parse().ok())
-                .ok_or_else(|| TraceIoError::Parse {
-                    at: lineno + 1,
-                    reason: format!("bad {what}"),
-                })
+                .ok_or_else(|| bad(format!("bad {what}")))
         };
         let ts = parse(cols.next(), "timestamp")?;
         let op = match cols.next() {
             Some("R") | Some("r") | Some("0") => IoOp::Read,
             Some("W") | Some("w") | Some("1") => IoOp::Write,
-            other => {
-                return Err(TraceIoError::Parse {
-                    at: lineno + 1,
-                    reason: format!("bad op {other:?}"),
-                })
-            }
+            other => return Err(bad(format!("bad op {other:?}"))),
         };
         let offset = parse(cols.next(), "offset")?;
-        let size = parse(cols.next(), "size")? as u32;
+        let size = u32::try_from(parse(cols.next(), "size")?)
+            .map_err(|_| bad("size out of range".into()))?;
         if size == 0 {
-            return Err(TraceIoError::Parse {
-                at: lineno + 1,
-                reason: "zero size".into(),
-            });
+            return Err(bad("zero size".into()));
         }
         requests.push(IoRequest {
             id: 0,
@@ -141,8 +135,8 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Parse`] on bad magic, version, truncation, or
-/// out-of-order timestamps.
+/// Returns [`TraceIoError::Parse`] on bad magic, version, truncation, a
+/// zero-size record, or out-of-order timestamps.
 pub fn from_bytes(name: &str, data: &[u8]) -> Result<Trace, TraceIoError> {
     let mut buf = data;
     if buf.remaining() < 13 {
@@ -191,11 +185,15 @@ pub fn from_bytes(name: &str, data: &[u8]) -> Result<Trace, TraceIoError> {
         } else {
             IoOp::Write
         };
+        let bad = |reason: &str| TraceIoError::Parse {
+            at: i + 1,
+            reason: reason.into(),
+        };
+        if size == 0 {
+            return Err(bad("zero size"));
+        }
         if arrival_us < prev {
-            return Err(TraceIoError::Parse {
-                at: i + 1,
-                reason: "timestamps out of order".into(),
-            });
+            return Err(bad("timestamps out of order"));
         }
         prev = arrival_us;
         requests.push(IoRequest {
@@ -259,6 +257,37 @@ mod tests {
         for bad in ["abc,R,0,4096", "100,X,0,4096", "100,R,0,zero", "100,R,0,0"] {
             assert!(read_csv("t", bad.as_bytes()).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn csv_rejects_sizes_beyond_u32_instead_of_truncating() {
+        for size in [1u64 << 32, (1 << 32) + 1, u64::MAX] {
+            let row = format!("0,R,0,{size}");
+            match read_csv("t", row.as_bytes()) {
+                Err(TraceIoError::Parse { at: 1, reason }) => {
+                    assert_eq!(reason, "size out of range", "{row}")
+                }
+                other => panic!("{row}: expected a parse error, got {other:?}"),
+            }
+        }
+        let max = format!("0,R,0,{}", u32::MAX);
+        assert_eq!(
+            read_csv("t", max.as_bytes()).unwrap().requests[0].size,
+            u32::MAX
+        );
+    }
+
+    #[test]
+    fn binary_rejects_a_zero_size_record_as_csv_does() {
+        let mut t = sample();
+        t.requests[3].size = 0;
+        match from_bytes("t", &to_bytes(&t)) {
+            Err(TraceIoError::Parse { at: 4, reason }) => assert_eq!(reason, "zero size"),
+            other => panic!("expected a parse error at record 4, got {other:?}"),
+        }
+        let mut csv = Vec::new();
+        write_csv(&t, &mut csv).unwrap();
+        assert!(read_csv("t", &csv[..]).is_err());
     }
 
     #[test]
