@@ -130,15 +130,15 @@ fn joint_stage_reference(view: &ReadView<'_>, widths: &[usize], opts: &TrainOpts
     }
 }
 
-/// The optimized fig15 train stage: one scratch-backed tuner pass shared
-/// across the widths (what the sweep's `StageCache` provides), batched
-/// backprop per width.
+/// The shipping fig15 train stage: every width runs the scratch-backed
+/// tuner, as each cell of `joint_replay_sweep` does, and trains with
+/// batched backprop.
 fn joint_stage_optimized(view: &ReadView<'_>, widths: &[usize], opts: &TrainOpts) {
-    let scratch = LabelingScratch::new_view(view, PeriodThresholds::default().window_us);
-    let th = tune_thresholds_with_view(view, &scratch);
-    let labels = period_label_with_view(view, &th, &scratch);
-    let (keep, _) = filter_view(view, &labels, &FilterConfig::default());
     for &p in widths {
+        let scratch = LabelingScratch::new_view(view, PeriodThresholds::default().window_us);
+        let th = tune_thresholds_with_view(view, &scratch);
+        let labels = period_label_with_view(view, &th, &scratch);
+        let (keep, _) = filter_view(view, &labels, &FilterConfig::default());
         let data = build_width(view, &labels, &keep, p);
         let mut mlp = Mlp::new(MlpConfig::heimdall(data.dim), 5);
         mlp.train(&data, opts);

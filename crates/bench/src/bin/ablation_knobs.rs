@@ -45,7 +45,6 @@ fn main() {
                     c
                 },
                 s,
-                None,
             ) else {
                 continue;
             };

@@ -133,7 +133,7 @@ fn main() {
             // flags as noise (they should be the hardest to predict).
             let mut pcfg = PipelineConfig::heimdall();
             pcfg.filtering = None;
-            let Ok((model, _)) = run_view(&view, &pcfg, None) else {
+            let Ok((model, _)) = run_view(&view, &pcfg) else {
                 continue;
             };
             let (data, src) = build_dataset_view(

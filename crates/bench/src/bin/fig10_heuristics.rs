@@ -13,9 +13,7 @@ use heimdall_bench::{
     fmt_us, light_heavy_pair, print_header, print_row, run_ordered, Args, ExperimentSetup, Json,
     PolicyKind, RunReport,
 };
-use heimdall_core::StageCache;
 use heimdall_ssd::DeviceConfig;
-use std::sync::Arc;
 
 fn main() {
     let args = Args::parse();
@@ -36,14 +34,10 @@ fn main() {
             kinds.iter().map(move |&k| (e, s, k))
         })
         .collect();
-    // Heuristic policies train no models, so this cache stays cold today —
-    // it is wired so adding an ML policy to the face-off shares stages.
-    let cache = Arc::new(StageCache::new());
     let results = run_ordered(jobs, cells.clone(), |&(_, s, kind)| {
         let (heavy, light) = light_heavy_pair(s, secs);
         let mut setup =
-            ExperimentSetup::light_heavy(heavy, light, DeviceConfig::datacenter_nvme(), s)
-                .with_stage_cache(Arc::clone(&cache));
+            ExperimentSetup::light_heavy(heavy, light, DeviceConfig::datacenter_nvme(), s);
         setup.run_timed(kind)
     });
 

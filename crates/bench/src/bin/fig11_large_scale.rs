@@ -14,10 +14,8 @@
 
 use heimdall_bench::{fmt_us, print_header, print_row, run_ordered, Args, Json, RunReport};
 use heimdall_bench::{light_heavy_pair, ExperimentSetup, PolicyKind};
-use heimdall_core::StageCache;
 use heimdall_metrics::latency::PAPER_PERCENTILES;
 use heimdall_ssd::DeviceConfig;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -36,14 +34,10 @@ fn main() {
         .collect();
 
     let t0 = Instant::now();
-    // ML policy cells sharing an experiment seed profile identical device
-    // logs; the sweep-wide cache lets them share label/filter passes.
-    let cache = Arc::new(StageCache::new());
     let runs_out = run_ordered(jobs, cells.clone(), |&(_, exp_seed, kind)| {
         let (heavy, light) = light_heavy_pair(exp_seed, secs);
         let mut setup =
-            ExperimentSetup::light_heavy(heavy, light, DeviceConfig::datacenter_nvme(), exp_seed)
-                .with_stage_cache(Arc::clone(&cache));
+            ExperimentSetup::light_heavy(heavy, light, DeviceConfig::datacenter_nvme(), exp_seed);
         setup.run_timed(kind)
     });
     eprintln!(

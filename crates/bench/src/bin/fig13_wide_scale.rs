@@ -16,17 +16,15 @@
 
 use heimdall_bench::{fmt_us, print_header, print_row, run_ordered, Args};
 use heimdall_cluster::wide::{run_wide, WideConfig, WidePolicy, WideResult};
-use heimdall_core::pipeline::{run_view, PipelineConfig, Trained};
-use heimdall_core::{ReadView, RecordBatch, StageCache};
+use heimdall_core::pipeline::{run_batch, PipelineConfig, Trained};
+use heimdall_core::RecordBatch;
 use heimdall_ssd::SsdDevice;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, PAGE_SIZE};
 
 /// Trains one model per OSD from a profiling run that mimics the cluster's
-/// per-OSD load (client reads + noisy-neighbour writes). The per-OSD logs
-/// are deterministic per `cfg`, so the scaling factors shared by the
-/// CDF and reduction sweeps hit `cache` on their second profiling pass.
-fn train_osd_models(cfg: &WideConfig, cache: &StageCache) -> Vec<Trained> {
+/// per-OSD load (client reads + noisy-neighbour writes).
+fn train_osd_models(cfg: &WideConfig) -> Vec<Trained> {
     let n = cfg.osds();
     let mut rng = Rng64::new(cfg.seed ^ 0x006f_7364);
     (0..n)
@@ -65,7 +63,7 @@ fn train_osd_models(cfg: &WideConfig, cache: &StageCache) -> Vec<Trained> {
             }
             let mut pcfg = PipelineConfig::heimdall();
             pcfg.seed = cfg.seed + osd as u64;
-            run_view(&ReadView::from(&log), &pcfg, Some(cache))
+            run_batch(&log, &pcfg)
                 .map(|(m, _)| m)
                 .unwrap_or_else(|_| Trained::always_admit(&pcfg))
         })
@@ -90,10 +88,6 @@ fn main() {
         seed,
         ..Default::default()
     };
-    // One labeling/filter cache across every profiling pass in the binary.
-    let cache = StageCache::new();
-    let cache = &cache;
-
     // --- (a) and (b): latency CDFs at SF = 1 and SF = 10.
     // Models are profiled per scaling factor: the deployment's offered
     // rate (and thus the queue-length feature distribution) scales with
@@ -114,7 +108,7 @@ fn main() {
         let policy = match pi {
             0 => WidePolicy::Baseline,
             1 => WidePolicy::Random,
-            _ => WidePolicy::Heimdall(train_osd_models(&cfg, cache)),
+            _ => WidePolicy::Heimdall(train_osd_models(&cfg)),
         };
         run_wide(&cfg, policy)
     });
@@ -148,7 +142,7 @@ fn main() {
         if w == 0 {
             run_wide(&cfg, WidePolicy::Random)
         } else {
-            run_wide(&cfg, WidePolicy::Heimdall(train_osd_models(&cfg, cache)))
+            run_wide(&cfg, WidePolicy::Heimdall(train_osd_models(&cfg)))
         }
     });
     print_header("Fig 13c: Heimdall latency reduction vs random, by percentile and SF");

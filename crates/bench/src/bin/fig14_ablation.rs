@@ -16,8 +16,8 @@
 //! Usage: `fig14_ablation [--datasets N] [--secs S] [--seed K] [--jobs J]`
 
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
-use heimdall_core::pipeline::{run_view, FeatureMode, LabelingMode, ModelArch, PipelineConfig};
-use heimdall_core::{ReadView, RecordBatch, StageCache};
+use heimdall_core::pipeline::{run_batch, FeatureMode, LabelingMode, ModelArch, PipelineConfig};
+use heimdall_core::RecordBatch;
 use heimdall_metrics::MetricReport;
 use heimdall_nn::ScalerKind;
 
@@ -82,19 +82,11 @@ fn main() {
     let seed = args.get_u64("seed", 77);
     let jobs = args.jobs();
     let pool = record_pool(datasets, secs, seed, jobs);
-    // The ablation ladder reuses each dataset under every step, but only a
-    // few distinct labeling/filtering configurations exist across the
-    // steps — share the tuned labels through one cache for the whole grid.
-    let cache = StageCache::new();
     // Keep only datasets with learnable contention under the final config.
     let usable_mask = run_ordered(jobs, pool.iter().collect(), |r: &&RecordBatch| {
-        run_view(
-            &ReadView::from(*r),
-            &PipelineConfig::heimdall(),
-            Some(&cache),
-        )
-        .map(|(_, rep)| rep.slow_fraction > 0.001)
-        .unwrap_or(false)
+        run_batch(r, &PipelineConfig::heimdall())
+            .map(|(_, rep)| rep.slow_fraction > 0.001)
+            .unwrap_or(false)
     });
     let usable: Vec<&RecordBatch> = pool
         .iter()
@@ -111,7 +103,7 @@ fn main() {
         .flat_map(|si| (0..usable.len()).map(move |di| (si, di)))
         .collect();
     let metrics: Vec<Option<MetricReport>> = run_ordered(jobs, cells, |&(si, di)| {
-        run_view(&ReadView::from(usable[di]), &all[si].1, Some(&cache))
+        run_batch(usable[di], &all[si].1)
             .ok()
             .map(|(_, report)| report.metrics)
     });

@@ -22,8 +22,7 @@
 use heimdall_bench::report::RunReport;
 use heimdall_bench::sweep::joint_replay_sweep;
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args, Json};
-use heimdall_core::pipeline::{run_view, PipelineConfig};
-use heimdall_core::{ReadView, StageCache};
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
 use heimdall_nn::{Mlp, MlpConfig, QuantizedMlp};
 use heimdall_trace::rng::Rng64;
 use std::time::Instant;
@@ -97,14 +96,10 @@ fn main() {
         .iter()
         .flat_map(|&p| (0..pool.len()).map(move |di| (p, di)))
         .collect();
-    // Joint width only changes feature grouping; the tuned labels are
-    // width-independent, so one cache labels each dataset once across the
-    // whole (width, dataset) grid.
-    let cache = StageCache::new();
     let cell_aucs: Vec<Option<f64>> = run_ordered(jobs, cells, |&(p, di)| {
         let mut cfg = PipelineConfig::heimdall();
         cfg.joint = p;
-        run_view(&ReadView::from(&pool[di]), &cfg, Some(&cache))
+        run_batch(&pool[di], &cfg)
             .ok()
             .filter(|(_, rep)| rep.slow_fraction > 0.0)
             .map(|(_, rep)| rep.metrics.roc_auc)

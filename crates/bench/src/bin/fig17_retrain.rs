@@ -18,7 +18,7 @@ use heimdall_bench::{print_header, print_row, run_ordered, Args};
 use heimdall_core::retrain::{
     evaluate_drift_retraining, evaluate_retraining, evaluate_static, RetrainConfig,
 };
-use heimdall_core::{collect_batch, PipelineConfig, StageCache};
+use heimdall_core::{collect_batch, PipelineConfig};
 use heimdall_ssd::{DeviceConfig, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
@@ -87,17 +87,13 @@ fn main() {
     };
 
     // All five evaluations are independent given the record stream; run
-    // them as one work-stealing batch and print in fixed order. They share
-    // one cache: three of them train on the same initial slice, and all
-    // five tune window labels over the same monitoring windows.
-    let cache = StageCache::new();
-    let cache = &cache;
+    // them as one work-stealing batch and print in fixed order.
     let reports = run_ordered(jobs, (0..5usize).collect(), |&i| match i {
-        0 => evaluate_static(&records, minute, &cfg, Some(cache)),
-        1 => evaluate_static(&records, minute * 5, &cfg, Some(cache)),
-        2 => evaluate_static(&records, minute * 15, &cfg, Some(cache)),
-        3 => evaluate_retraining(&records, &cfg, Some(cache)),
-        _ => evaluate_drift_retraining(&records, &cfg, Some(cache)),
+        0 => evaluate_static(&records, minute, &cfg),
+        1 => evaluate_static(&records, minute * 5, &cfg),
+        2 => evaluate_static(&records, minute * 15, &cfg),
+        3 => evaluate_retraining(&records, &cfg),
+        _ => evaluate_drift_retraining(&records, &cfg),
     });
     let fmt_series = |report: &heimdall_core::retrain::RetrainReport| {
         let series: Vec<String> = report

@@ -17,8 +17,8 @@
 use heimdall_bench::{print_header, print_row, record_pool, run_ordered, Args};
 use heimdall_core::features::{build_dataset_view, FeatureSpec};
 use heimdall_core::labeling::cutoff_label_view;
-use heimdall_core::pipeline::{run_view, PipelineConfig};
-use heimdall_core::{read_indices, Feature, ReadView, RecordBatch, StageCache};
+use heimdall_core::pipeline::{run_batch, PipelineConfig};
+use heimdall_core::{read_indices, Feature, ReadView, RecordBatch};
 use heimdall_metrics::stats::{cosine_similarity, mean};
 use heimdall_models::automl::Family;
 use heimdall_nn::Dataset;
@@ -118,19 +118,12 @@ fn main() {
     }
 
     // Heimdall on the same record sets (full pipeline, engineered
-    // features), through the shared stage cache so repeated invocations
-    // of this pass (or future per-variant sweeps) label each dataset once.
-    let cache = StageCache::new();
-    let cache = &cache;
+    // features).
     let heimdall_auc: Vec<f64> = run_ordered(jobs, pool.iter().collect(), |r: &&RecordBatch| {
-        run_view(
-            &ReadView::from(*r),
-            &PipelineConfig::heimdall(),
-            Some(cache),
-        )
-        .ok()
-        .filter(|(_, rep)| rep.slow_fraction > 0.0)
-        .map(|(_, rep)| rep.metrics.roc_auc)
+        run_batch(r, &PipelineConfig::heimdall())
+            .ok()
+            .filter(|(_, rep)| rep.slow_fraction > 0.0)
+            .map(|(_, rep)| rep.metrics.roc_auc)
     })
     .into_iter()
     .flatten()

@@ -6,14 +6,12 @@ use crate::runner::run_ordered;
 use heimdall_cluster::replayer::{merge_homed, replay_homed, HomedRequest, ReplayResult};
 use heimdall_cluster::train::{fresh_devices_with_plans, train_homed};
 use heimdall_core::pipeline::{PipelineConfig, PipelineError, Trained};
-use heimdall_core::stage_cache::StageCache;
 use heimdall_policies::{Ams, Baseline, FallbackPolicy, Hedging, Heron, Policy, RandomSelect, C3};
 use heimdall_ssd::{DeviceConfig, FaultPlan};
 use heimdall_trace::augment::{augmented_pool, Augmentation};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{Trace, WorkloadProfile};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Policy selector used by the experiment binaries.
@@ -94,7 +92,6 @@ pub struct ExperimentSetup {
     heimdall_models: Option<Vec<Trained>>,
     linnos_models: Option<Vec<Trained>>,
     joint_models: Option<(usize, Vec<Trained>)>,
-    stage_cache: Option<Arc<StageCache>>,
 }
 
 impl ExperimentSetup {
@@ -113,7 +110,6 @@ impl ExperimentSetup {
             heimdall_models: None,
             linnos_models: None,
             joint_models: None,
-            stage_cache: None,
         }
     }
 
@@ -129,7 +125,6 @@ impl ExperimentSetup {
             heimdall_models: None,
             linnos_models: None,
             joint_models: None,
-            stage_cache: None,
         }
     }
 
@@ -146,15 +141,6 @@ impl ExperimentSetup {
         self
     }
 
-    /// Shares a sweep-wide [`StageCache`] with this cell's training runs:
-    /// the model-independent labeling/filter/feature stages are computed
-    /// once per distinct (trace, stage-config) across every cell holding
-    /// the same cache. Trained models are identical with or without it.
-    pub fn with_stage_cache(mut self, cache: Arc<StageCache>) -> Self {
-        self.stage_cache = Some(cache);
-        self
-    }
-
     fn heimdall_models(&mut self) -> Result<Vec<Trained>, PipelineError> {
         if self.heimdall_models.is_none() {
             let mut cfg = PipelineConfig::heimdall();
@@ -164,7 +150,6 @@ impl ExperimentSetup {
                 &self.device_cfgs,
                 &cfg,
                 self.seed,
-                self.stage_cache.as_deref(),
             )?);
         }
         Ok(self.heimdall_models.clone().expect("just set"))
@@ -179,7 +164,6 @@ impl ExperimentSetup {
                 &self.device_cfgs,
                 &cfg,
                 self.seed,
-                self.stage_cache.as_deref(),
             )?);
         }
         Ok(self.linnos_models.clone().expect("just set"))
@@ -192,13 +176,7 @@ impl ExperimentSetup {
             cfg.joint = p;
             self.joint_models = Some((
                 p,
-                train_homed(
-                    &self.requests,
-                    &self.device_cfgs,
-                    &cfg,
-                    self.seed,
-                    self.stage_cache.as_deref(),
-                )?,
+                train_homed(&self.requests, &self.device_cfgs, &cfg, self.seed)?,
             ));
         }
         Ok(self.joint_models.clone().expect("just set").1)

@@ -13,11 +13,9 @@ use crate::report::Json;
 use crate::runner::run_ordered;
 use crate::table::{fmt_us, row_string};
 use heimdall_cluster::replayer::ReplayResult;
-use heimdall_core::stage_cache::StageCache;
 use heimdall_ssd::DeviceConfig;
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::WorkloadProfile;
-use std::sync::Arc;
 
 /// Deterministic run record for one replay: everything
 /// [`crate::PolicyRun::to_json`] reports except the wall-clock stages.
@@ -64,36 +62,11 @@ pub fn replay_json(r: &ReplayResult) -> Json {
 /// generated profiling data (the seeded workloads are healthy by
 /// construction, so a failure is a bug, not an input condition).
 pub fn joint_replay_sweep(ps: &[usize], seeds: &[u64], secs: u64, jobs: usize) -> (String, Json) {
-    joint_replay_sweep_opts(ps, seeds, secs, jobs, true)
-}
-
-/// [`joint_replay_sweep`] with the cross-cell [`StageCache`] toggleable.
-///
-/// With `share_stages` every cell's training run goes through one
-/// sweep-wide cache, so the `ps.len()` cells that share a seed tune,
-/// label and noise-filter each device's profiling log once instead of
-/// once per group width (the label/filter stages are width-independent;
-/// only the cheap feature-extraction pass stays per-cell).
-/// The cache never changes what a cell computes, only whether it
-/// recomputes it — the rendered table and runs are byte-identical either
-/// way (the cache determinism test holds exactly that).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`joint_replay_sweep`].
-pub fn joint_replay_sweep_opts(
-    ps: &[usize],
-    seeds: &[u64],
-    secs: u64,
-    jobs: usize,
-    share_stages: bool,
-) -> (String, Json) {
     assert!(!ps.is_empty() && !seeds.is_empty(), "empty sweep");
     let cells: Vec<(usize, u64)> = ps
         .iter()
         .flat_map(|&p| seeds.iter().map(move |&s| (p, s)))
         .collect();
-    let cache = share_stages.then(|| Arc::new(StageCache::new()));
     let results: Vec<ReplayResult> = run_ordered(jobs, cells.clone(), |&(p, seed)| {
         // Each cell self-seeds its workload and devices, so results do not
         // depend on which worker ran it.
@@ -104,9 +77,6 @@ pub fn joint_replay_sweep_opts(
         let mut dev = DeviceConfig::consumer_nvme();
         dev.free_pool = 1 << 30;
         let mut setup = ExperimentSetup::single(trace, dev, seed);
-        if let Some(c) = &cache {
-            setup = setup.with_stage_cache(Arc::clone(c));
-        }
         let kind = if p <= 1 {
             PolicyKind::Heimdall
         } else {

@@ -8,7 +8,6 @@
 use crate::replayer::HomedRequest;
 use heimdall_core::collect::{submit_one, ReadView, RecordBatch};
 use heimdall_core::pipeline::{run_view, PipelineConfig, PipelineError, Trained};
-use heimdall_core::stage_cache::StageCache;
 use heimdall_ssd::{DeviceConfig, FaultPlan, SsdDevice};
 use heimdall_trace::IoOp;
 
@@ -47,11 +46,6 @@ pub fn profile_homed_batches(
 /// stream: each device's model learns from exactly the I/Os that device
 /// served, matching a real per-device deployment.
 ///
-/// With a sweep-shared [`StageCache`], cells profiling the same stream
-/// onto the same devices tune, label and filter each device log once —
-/// even when they train different feature modes or joint widths on it.
-/// Models are identical with or without the cache.
-///
 /// # Errors
 ///
 /// Propagates the first [`PipelineError`] that is not "this device's log
@@ -61,22 +55,19 @@ pub fn train_homed(
     cfgs: &[DeviceConfig],
     pipeline: &PipelineConfig,
     seed: u64,
-    cache: Option<&StageCache>,
 ) -> Result<Vec<Trained>, PipelineError> {
     profile_homed_batches(requests, cfgs, seed)
         .into_iter()
-        .map(
-            |log| match run_view(&ReadView::from(&log), pipeline, cache) {
-                Ok((m, _)) => Ok(m),
-                // A device whose log cannot train (no reads, too short) gets
-                // a safe always-admit model — exactly how a deployment
-                // behaves before its profiling window has data.
-                Err(
-                    PipelineError::NoRecords | PipelineError::NoRows | PipelineError::EmptySplit,
-                ) => Ok(Trained::always_admit(pipeline)),
-                Err(e @ PipelineError::ZeroWindow) => Err(e),
-            },
-        )
+        .map(|log| match run_view(&ReadView::from(&log), pipeline) {
+            Ok((m, _)) => Ok(m),
+            // A device whose log cannot train (no reads, too short) gets
+            // a safe always-admit model — exactly how a deployment
+            // behaves before its profiling window has data.
+            Err(PipelineError::NoRecords | PipelineError::NoRows | PipelineError::EmptySplit) => {
+                Ok(Trained::always_admit(pipeline))
+            }
+            Err(e @ PipelineError::ZeroWindow) => Err(e),
+        })
         .collect()
 }
 
@@ -145,7 +136,6 @@ mod tests {
             &[cfg.clone(), cfg],
             &PipelineConfig::heimdall(),
             62,
-            None,
         )
         .unwrap();
         assert_eq!(models.len(), 2);
@@ -159,7 +149,7 @@ mod tests {
         let requests = homed_stream(63, 1);
         assert!(requests.iter().any(|h| h.req.op == IoOp::Read));
         assert!(profile_homed_batches(&requests, &[], 9).is_empty());
-        let models = train_homed(&requests, &[], &PipelineConfig::heimdall(), 9, None).unwrap();
+        let models = train_homed(&requests, &[], &PipelineConfig::heimdall(), 9).unwrap();
         assert!(models.is_empty());
     }
 

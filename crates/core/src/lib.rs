@@ -16,8 +16,6 @@
 //! - [`pipeline`] — the configurable end-to-end trainer with per-stage
 //!   toggles for the Fig 14 ablation, producing a quantized deployable
 //!   model (§4.1).
-//! - [`stage_cache`] — keyed, thread-safe cache of the model-independent
-//!   stage output, shared across the cells of a sweep.
 //! - [`model`] — the online per-device runtime admission policies embed.
 //! - [`retrain`] — accuracy-triggered retraining for long deployments (§7).
 //! - [`drift`] — proactive input-drift detection (a §7 open question).
@@ -29,12 +27,10 @@
 //! [`ReadView`] — the whole batch, or an index projection of it (the
 //! reads, a training slice, a monitoring window), never a copy. Each
 //! operation has exactly one entry point (the `*_view` functions of
-//! [`labeling`], [`filtering::filter_view`], [`stage_cache::stage_key_view`],
-//! the `build_*_view` builders of [`features`]). The trainer is
-//! [`pipeline::run_view`]`(view, cfg, cache)`, which drops writes and
-//! optionally shares its labeling/filtering stage through a
-//! [`StageCache`]; [`pipeline::run_batch`] is that function over a whole
-//! batch. The `*_reference` functions are the seed engines the parity
+//! [`labeling`], [`filtering::filter_view`], the `build_*_view` builders
+//! of [`features`]). The trainer is [`pipeline::run_view`]`(view, cfg)`,
+//! which drops writes; [`pipeline::run_batch`] is that function over a
+//! whole batch. The `*_reference` functions are the seed engines the parity
 //! suites compare against; the featurizer references take rows
 //! ([`RecordBatch::to_records`]) so that they share nothing with the views.
 //!
@@ -66,7 +62,6 @@ pub mod labeling;
 pub mod model;
 pub mod pipeline;
 pub mod retrain;
-pub mod stage_cache;
 
 pub use collect::{collect_batch, read_indices, IoRecord, ReadView, RecordBatch};
 pub use drift::DriftDetector;
@@ -75,8 +70,7 @@ pub use filtering::{FilterConfig, FilterStats};
 pub use labeling::PeriodThresholds;
 pub use model::{DeviceRuntime, OnlineAdmitter};
 pub use pipeline::{
-    FeatureKind, FeatureMode, LabelArtifact, LabelingMode, ModelArch, PipelineConfig,
-    PipelineError, PipelineReport, Trained,
+    FeatureKind, FeatureMode, LabelingMode, ModelArch, PipelineConfig, PipelineError,
+    PipelineReport, Trained,
 };
 pub use retrain::{RetrainConfig, RetrainReport};
-pub use stage_cache::StageCache;

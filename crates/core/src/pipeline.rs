@@ -14,13 +14,11 @@ use crate::labeling::{
     cutoff_label_view, labeling_accuracy_view, period_label_view, period_label_with_view,
     tune_thresholds_with_view, LabelingScratch, PeriodThresholds,
 };
-use crate::stage_cache::{stage_key_view, StageCache};
 use heimdall_metrics::MetricReport;
 use heimdall_nn::{
     BatchScratch, ColumnStats, Dataset, Mlp, MlpConfig, QuantizedMlp, Scaler, ScalerKind, TrainOpts,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Labeling stage selector.
@@ -361,15 +359,12 @@ pub struct PipelineReport {
     pub input_dim: usize,
 }
 
-/// Output of the two expensive model-independent stages — labeling
-/// (including threshold tuning) and noise filtering. Depends only on the
-/// read records and the labeling/filtering configuration — never on seed,
-/// features, joint width, split, scaling or training options — which is
-/// what makes it shareable across sweep cells through [`StageCache`]:
-/// every joint width of a Fig 15 cell, for instance, labels its trace
-/// once.
+/// Output of the two model-independent stages — labeling (including
+/// threshold tuning) and noise filtering. Depends only on the read records
+/// and the labeling/filtering configuration — never on seed, features,
+/// joint width, split, scaling or training options.
 #[derive(Debug, Clone)]
-pub struct LabelArtifact {
+pub(crate) struct LabelArtifact {
     /// Per-read slow/fast label.
     pub labels: Vec<bool>,
     /// Per-read noise-filter keep mask (all-true when filtering is off).
@@ -396,22 +391,7 @@ fn with_reads<R>(view: &ReadView<'_>, f: impl FnOnce(&ReadView<'_>) -> R) -> R {
     f(&ReadView::Indexed { batch, idx: &idx })
 }
 
-/// The label/filter artifact of a write-free view, served through the
-/// shared [`StageCache`] when one is provided. Cached and uncached callers
-/// execute the same [`label_stage_view`], so a hit changes wall-clock only.
-pub(crate) fn cached_label_stage(
-    view: &ReadView<'_>,
-    cfg: &PipelineConfig,
-    cache: Option<&StageCache>,
-) -> Arc<LabelArtifact> {
-    match cache {
-        Some(c) => c.get_or_build(stage_key_view(view, cfg), || label_stage_view(view, cfg)),
-        None => Arc::new(label_stage_view(view, cfg)),
-    }
-}
-
-/// Runs the labeling and noise-filtering stages over a write-free view —
-/// the cacheable unit shared across sweep cells.
+/// Runs the labeling and noise-filtering stages over a write-free view.
 pub(crate) fn label_stage_view(view: &ReadView<'_>, cfg: &PipelineConfig) -> LabelArtifact {
     // Stage: labeling. The tuned mode shares one LabelingScratch between
     // the threshold search and the final labeling pass.
@@ -525,21 +505,12 @@ pub fn run_batch(
     batch: &RecordBatch,
     cfg: &PipelineConfig,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
-    run_view(&ReadView::from(batch), cfg, None)
+    run_view(&ReadView::from(batch), cfg)
 }
 
 /// The pipeline itself, over any [`ReadView`] of the full record stream —
-/// [`run_batch`] is this over a whole batch with no cache. Writes are
-/// dropped here, once, whatever the view's form.
-///
-/// With a [`StageCache`], the labeling and filtering stages are served
-/// through it: cells of a sweep that replay the same trace under the same
-/// labeling/filtering configuration tune, label and filter once and share
-/// the [`LabelArtifact`] — feature extraction stays per-cell, so cells
-/// differing only in feature mode or joint width still share. The cache
-/// key hashes the same byte stream for every view form of the same reads,
-/// and results are identical with or without a cache (only the wall-clock
-/// `preprocess_seconds` differs on a hit).
+/// [`run_batch`] is this over a whole batch. Writes are dropped here,
+/// once, whatever the view's form.
 ///
 /// # Errors
 ///
@@ -547,22 +518,20 @@ pub fn run_batch(
 pub fn run_view(
     view: &ReadView<'_>,
     cfg: &PipelineConfig,
-    cache: Option<&StageCache>,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
-    with_reads(view, |reads| run_reads(reads, cfg, cache))
+    with_reads(view, |reads| run_reads(reads, cfg))
 }
 
 /// [`run_view`] past the write drop: `view` holds reads only.
 fn run_reads(
     view: &ReadView<'_>,
     cfg: &PipelineConfig,
-    cache: Option<&StageCache>,
 ) -> Result<(Trained, PipelineReport), PipelineError> {
     if view.is_empty() {
         return Err(PipelineError::NoRecords);
     }
     let t0 = Instant::now();
-    let la = cached_label_stage(view, cfg, cache);
+    let la = label_stage_view(view, cfg);
     let (kind, data, minmax_stats) = featurize(view, cfg, &la)?;
 
     let slow_fraction = data.positive_rate();
@@ -803,10 +772,10 @@ fn spec_for(mode: &FeatureMode) -> FeatureSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::collect_batch;
+    use crate::collect::{collect_batch, IoRecord};
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
-    use heimdall_trace::WorkloadProfile;
+    use heimdall_trace::{IoOp, WorkloadProfile};
 
     fn busy_records(seed: u64, secs: u64) -> RecordBatch {
         let trace = TraceBuilder::from_profile(WorkloadProfile::TencentLike)
@@ -868,10 +837,94 @@ mod tests {
 
     #[test]
     fn empty_input_is_error() {
+        let empty = RecordBatch::new();
+        let cfg = PipelineConfig::heimdall();
         assert_eq!(
-            run_batch(&RecordBatch::new(), &PipelineConfig::heimdall()).unwrap_err(),
+            run_batch(&empty, &cfg).unwrap_err(),
             PipelineError::NoRecords
         );
+        assert_eq!(
+            cross_validate(&ReadView::from(&empty), &cfg, 2).unwrap_err(),
+            PipelineError::NoRecords
+        );
+    }
+
+    /// `n` synthetic I/Os `gap_us` apart; `io(i)` gives the `i`-th one's
+    /// `(op, latency_us, size)`.
+    fn synthetic_log(n: u64, gap_us: u64, io: impl Fn(u64) -> (IoOp, u64, u32)) -> RecordBatch {
+        let records: Vec<IoRecord> = (0..n)
+            .map(|i| {
+                let (op, latency_us, size) = io(i);
+                let arrival_us = 1_000 + i * gap_us;
+                IoRecord {
+                    arrival_us,
+                    finish_us: arrival_us + latency_us,
+                    size,
+                    op,
+                    queue_len: (i % 8) as u32,
+                    latency_us,
+                    throughput: f64::from(size) / latency_us as f64,
+                    truth_busy: false,
+                }
+            })
+            .collect();
+        RecordBatch::from_records(&records)
+    }
+
+    /// A read with a latency that cycles through slow bursts.
+    fn varied_read(i: u64) -> (IoOp, u64, u32) {
+        let slow = (i / 50).is_multiple_of(5);
+        let latency = if slow {
+            2_000
+        } else {
+            100 + (i * 7_919 % 13) * 20
+        };
+        (IoOp::Read, latency, 4_096)
+    }
+
+    /// Degenerate logs through both entry points: each returns a typed
+    /// result, never a panic. A row needs `hist_depth` completions that
+    /// finished before its arrival, so a log too short to see that many,
+    /// or one where every read arrives at once, has no rows.
+    #[test]
+    fn degenerate_logs_return_typed_results() {
+        use PipelineError::{NoRecords, NoRows};
+        let cases = [
+            (
+                "writes only",
+                synthetic_log(200, 100, |_| (IoOp::Write, 100, 4_096)),
+                Err(NoRecords),
+            ),
+            ("1 read", synthetic_log(1, 100, varied_read), Err(NoRows)),
+            ("3 reads", synthetic_log(3, 100, varied_read), Err(NoRows)),
+            (
+                "5,000 reads at one arrival time",
+                synthetic_log(5_000, 0, varied_read),
+                Err(NoRows),
+            ),
+            // Just past the `< 32` branch that labels with untuned
+            // thresholds.
+            ("33 reads", synthetic_log(33, 100, varied_read), Ok(())),
+            (
+                "5,000 constant-latency reads",
+                synthetic_log(5_000, 100, |_| (IoOp::Read, 150, 4_096)),
+                Ok(()),
+            ),
+            (
+                "5,000 zero-size reads",
+                synthetic_log(5_000, 100, |i| (IoOp::Read, varied_read(i).1, 0)),
+                Ok(()),
+            ),
+        ];
+        let cfg = PipelineConfig::heimdall();
+        for (name, log, want) in &cases {
+            assert_eq!(&run_batch(log, &cfg).map(|_| ()), want, "run_batch: {name}");
+            assert_eq!(
+                &cross_validate(&ReadView::from(log), &cfg, 2).map(|_| ()),
+                want,
+                "cross_validate: {name}"
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,8 @@ use crate::features::{
     build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view, FeatureSpec,
 };
 use crate::pipeline::{
-    cached_label_stage, run_view, FeatureKind, LabelingMode, PipelineConfig, PipelineError, Trained,
+    label_stage_view, run_view, FeatureKind, LabelingMode, PipelineConfig, PipelineError, Trained,
 };
-use crate::stage_cache::StageCache;
 use heimdall_metrics::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -106,20 +105,16 @@ fn arriving<'a>(batch: &RecordBatch, reads: &'a [u32], lo_us: u64, hi_us: u64) -
 }
 
 /// Scores a model's decisions against period-based labels over the reads
-/// of one window; returns plain accuracy. Several evaluations monitor the
-/// same windows, so the tuned window labels go through the shared cache
-/// when one is provided.
+/// of one window; returns plain accuracy.
 fn window_accuracy(
     model: &Trained,
     reads: &ReadView<'_>,
     label_cfg: &PipelineConfig,
-    cache: Option<&StageCache>,
 ) -> Option<f64> {
     if reads.len() < 64 {
         return None;
     }
-    let la = cached_label_stage(reads, label_cfg, cache);
-    let labels = &la.labels;
+    let labels = &label_stage_view(reads, label_cfg).labels;
     let keep = vec![true; reads.len()];
     let data = match &model.kind {
         FeatureKind::LinnosDigitized => build_linnos_dataset_view(reads, labels, &keep, 1).0,
@@ -139,11 +134,6 @@ fn window_accuracy(
 /// Evaluates a model trained once on the first `initial_train_us` of the
 /// log, with no retraining ("First N min" lines of Fig 17a).
 ///
-/// Training and window labeling are served through `cache` when one is
-/// given: concurrent evaluations over the same log (the Fig 17 panel)
-/// tune and label each training slice and each monitoring window once.
-/// Reports are identical with or without a cache.
-///
 /// # Errors
 ///
 /// [`PipelineError::ZeroWindow`] on a zero check interval or report window;
@@ -152,18 +142,17 @@ pub fn evaluate_static(
     batch: &RecordBatch,
     initial_train_us: u64,
     cfg: &RetrainConfig,
-    cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
     check_windows(cfg)?;
     let reads = read_indices(batch);
     let start = batch.arrival_us.first().copied().unwrap_or(0);
     let idx = arriving(batch, &reads, 0, start + initial_train_us);
-    let (model, _) = run_view(&ReadView::Indexed { batch, idx }, &cfg.pipeline, cache)?;
+    let (model, _) = run_view(&ReadView::Indexed { batch, idx }, &cfg.pipeline)?;
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
     each_window(batch, &reads, cfg.report_window_us, |end, idx| {
         let window = ReadView::Indexed { batch, idx };
-        if let Some(acc) = window_accuracy(&model, &window, &label_cfg, cache) {
+        if let Some(acc) = window_accuracy(&model, &window, &label_cfg) {
             report.accuracy_series.push((end, acc));
         }
     });
@@ -173,8 +162,7 @@ pub fn evaluate_static(
 /// Evaluates the accuracy-triggered retraining policy ("Retrain" line of
 /// Fig 17b). The model starts from the first check interval of data and is
 /// retrained on the trailing [`RetrainConfig::retrain_window_us`] whenever
-/// the per-interval accuracy falls below the trigger. `cache` is as for
-/// [`evaluate_static`].
+/// the per-interval accuracy falls below the trigger.
 ///
 /// # Errors
 ///
@@ -182,18 +170,16 @@ pub fn evaluate_static(
 pub fn evaluate_retraining(
     batch: &RecordBatch,
     cfg: &RetrainConfig,
-    cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
     let below = |acc: Option<f64>| acc.is_some_and(|a| a < cfg.trigger_accuracy);
-    monitor(batch, cfg, cache, |_| {}, |_, acc| below(acc))
+    monitor(batch, cfg, |_| {}, |_, acc| below(acc))
 }
 
 /// Evaluates *drift-triggered* retraining (the proactive alternative the
 /// paper's §7 sketches): instead of waiting for labeled accuracy to drop,
 /// a [`DriftDetector`] watches the deployed feature distribution and
 /// triggers a retrain when the window's PSI crosses the significance
-/// threshold. No labels are needed between retrains. `cache` is as for
-/// [`evaluate_static`].
+/// threshold. No labels are needed between retrains.
 ///
 /// # Errors
 ///
@@ -201,13 +187,11 @@ pub fn evaluate_retraining(
 pub fn evaluate_drift_retraining(
     batch: &RecordBatch,
     cfg: &RetrainConfig,
-    cache: Option<&StageCache>,
 ) -> Result<RetrainReport, PipelineError> {
     let detector = RefCell::new(None);
     monitor(
         batch,
         cfg,
-        cache,
         |trained_on| *detector.borrow_mut() = DriftDetector::fit(&drift_rows(trained_on)),
         |window, _| {
             let mut detector = detector.borrow_mut();
@@ -242,7 +226,6 @@ fn drift_rows(reads: &ReadView<'_>) -> heimdall_nn::Dataset {
 fn monitor(
     batch: &RecordBatch,
     cfg: &RetrainConfig,
-    cache: Option<&StageCache>,
     mut deployed: impl FnMut(&ReadView<'_>),
     mut trigger: impl FnMut(&ReadView<'_>, Option<f64>) -> bool,
 ) -> Result<RetrainReport, PipelineError> {
@@ -251,7 +234,7 @@ fn monitor(
     let start = batch.arrival_us.first().copied().unwrap_or(0);
     let idx = arriving(batch, &reads, 0, start + cfg.check_interval_us);
     let initial = ReadView::Indexed { batch, idx };
-    let (mut model, _) = run_view(&initial, &cfg.pipeline, cache)?;
+    let (mut model, _) = run_view(&initial, &cfg.pipeline)?;
     deployed(&initial);
     let label_cfg = monitor_label_cfg(cfg);
     let mut report = RetrainReport::default();
@@ -261,7 +244,7 @@ fn monitor(
     let mut report_end = start + cfg.report_window_us;
     each_window(batch, &reads, cfg.check_interval_us, |end, idx| {
         let window = ReadView::Indexed { batch, idx };
-        let acc = window_accuracy(&model, &window, &label_cfg, cache);
+        let acc = window_accuracy(&model, &window, &label_cfg);
         if let Some(acc) = acc {
             report_acc.push(acc);
             if end >= report_end {
@@ -274,7 +257,7 @@ fn monitor(
             let lo = end.saturating_sub(cfg.retrain_window_us);
             let idx = arriving(batch, &reads, lo, end);
             let trailing = ReadView::Indexed { batch, idx };
-            if let Ok((m, _)) = run_view(&trailing, &cfg.pipeline, cache) {
+            if let Ok((m, _)) = run_view(&trailing, &cfg.pipeline) {
                 model = m;
                 report.retrain_times_us.push(end);
                 // I/Os the window held, writes included.
@@ -345,7 +328,7 @@ mod tests {
     #[test]
     fn static_evaluation_produces_series() {
         let records = long_records(60);
-        let report = evaluate_static(&records, 10_000_000, &quick_cfg(), None).unwrap();
+        let report = evaluate_static(&records, 10_000_000, &quick_cfg()).unwrap();
         assert!(!report.accuracy_series.is_empty());
         for &(_, acc) in &report.accuracy_series {
             assert!((0.0..=1.0).contains(&acc));
@@ -355,7 +338,7 @@ mod tests {
     #[test]
     fn retraining_evaluation_runs() {
         let records = long_records(60);
-        let report = evaluate_retraining(&records, &quick_cfg(), None).unwrap();
+        let report = evaluate_retraining(&records, &quick_cfg()).unwrap();
         assert!(!report.accuracy_series.is_empty());
         assert_eq!(report.retrain_times_us.len(), report.retrain_sizes.len());
     }
@@ -364,8 +347,8 @@ mod tests {
     fn retraining_never_hurts_mean_accuracy_much() {
         let records = long_records(90);
         let cfg = quick_cfg();
-        let static_rep = evaluate_static(&records, cfg.check_interval_us, &cfg, None).unwrap();
-        let retrain_rep = evaluate_retraining(&records, &cfg, None).unwrap();
+        let static_rep = evaluate_static(&records, cfg.check_interval_us, &cfg).unwrap();
+        let retrain_rep = evaluate_retraining(&records, &cfg).unwrap();
         assert!(
             retrain_rep.mean_accuracy() >= static_rep.mean_accuracy() - 0.05,
             "retrain {} vs static {}",
@@ -377,28 +360,11 @@ mod tests {
     #[test]
     fn drift_retraining_evaluation_runs() {
         let records = long_records(60);
-        let report = evaluate_drift_retraining(&records, &quick_cfg(), None).unwrap();
+        let report = evaluate_drift_retraining(&records, &quick_cfg()).unwrap();
         assert!(!report.accuracy_series.is_empty());
         for &(_, acc) in &report.accuracy_series {
             assert!((0.0..=1.0).contains(&acc));
         }
-    }
-
-    #[test]
-    fn cached_evaluations_match_uncached() {
-        let records = long_records(60);
-        let cfg = quick_cfg();
-        let cache = StageCache::new();
-        let plain = evaluate_retraining(&records, &cfg, None).unwrap();
-        let cached = evaluate_retraining(&records, &cfg, Some(&cache)).unwrap();
-        assert_eq!(plain.accuracy_series, cached.accuracy_series);
-        assert_eq!(plain.retrain_times_us, cached.retrain_times_us);
-        assert_eq!(plain.retrain_sizes, cached.retrain_sizes);
-        assert!(cache.misses() > 0, "cache was never consulted");
-
-        let s_plain = evaluate_static(&records, 10_000_000, &cfg, None).unwrap();
-        let s_shared = evaluate_static(&records, 10_000_000, &cfg, Some(&cache)).unwrap();
-        assert_eq!(s_plain.accuracy_series, s_shared.accuracy_series);
     }
 
     /// `(end, len)` of every window [`each_window`] reports.
@@ -500,15 +466,9 @@ mod tests {
                 ..quick_cfg()
             };
             let zero = Err(PipelineError::ZeroWindow);
-            assert_eq!(
-                evaluate_static(&records, 1_000_000, &cfg, None).map(|_| ()),
-                zero
-            );
-            assert_eq!(evaluate_retraining(&records, &cfg, None).map(|_| ()), zero);
-            assert_eq!(
-                evaluate_drift_retraining(&records, &cfg, None).map(|_| ()),
-                zero
-            );
+            assert_eq!(evaluate_static(&records, 1_000_000, &cfg).map(|_| ()), zero);
+            assert_eq!(evaluate_retraining(&records, &cfg).map(|_| ()), zero);
+            assert_eq!(evaluate_drift_retraining(&records, &cfg).map(|_| ()), zero);
         }
     }
 

@@ -33,7 +33,7 @@ fn main() {
     ];
 
     // Train per-device Heimdall models on a profiling pass.
-    let models = train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 5, None)
+    let models = train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 5)
         .expect("profiling pass trains");
 
     let mut policies: Vec<Box<dyn Policy>> = vec![

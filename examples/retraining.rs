@@ -45,7 +45,7 @@ fn main() {
         ("train on first 5s", 5_000_000u64),
         ("train on first 30s", 30_000_000),
     ] {
-        let report = evaluate_static(&records, train_us, &cfg, None).expect("static run");
+        let report = evaluate_static(&records, train_us, &cfg).expect("static run");
         println!(
             "{label:<22} mean acc {:.3}  min {:.3}  {}",
             report.mean_accuracy(),
@@ -54,7 +54,7 @@ fn main() {
         );
     }
 
-    let report = evaluate_retraining(&records, &cfg, None).expect("retraining run");
+    let report = evaluate_retraining(&records, &cfg).expect("retraining run");
     println!(
         "{:<22} mean acc {:.3}  min {:.3}  {}",
         "retrain (<80% => fit)",

@@ -154,7 +154,7 @@ pub fn light_heavy_experiment(
     ];
     let mut pcfg = PipelineConfig::heimdall();
     pcfg.seed = seed;
-    let models = train_homed(&requests, &cfgs, &pcfg, seed, None).unwrap();
+    let models = train_homed(&requests, &cfgs, &pcfg, seed).unwrap();
     (requests, cfgs, models)
 }
 

@@ -47,8 +47,7 @@ fn heimdall_policy_beats_baseline_on_contended_replay() {
         .build();
     let requests = merge_homed(&[&heavy, &light]);
     let cfgs = vec![DeviceConfig::consumer_nvme(), DeviceConfig::consumer_nvme()];
-    let models =
-        train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 202, None).expect("trains");
+    let models = train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 202).expect("trains");
 
     let mut base_devices = fresh_devices(&cfgs, 203);
     let base = replay_homed(&requests, &mut base_devices, &mut Baseline);
@@ -72,14 +71,8 @@ fn linnos_policy_runs_end_to_end() {
     let trace = contention_trace(300, 20);
     let requests = merge_homed(&[&trace]);
     let cfgs = vec![DeviceConfig::consumer_nvme(), DeviceConfig::consumer_nvme()];
-    let models = train_homed(
-        &requests,
-        &cfgs,
-        &PipelineConfig::linnos_baseline(),
-        301,
-        None,
-    )
-    .expect("trains");
+    let models =
+        train_homed(&requests, &cfgs, &PipelineConfig::linnos_baseline(), 301).expect("trains");
     let mut devices = fresh_devices(&cfgs, 302);
     let mut policy = LinnOsPolicy::new(models);
     let result = replay_homed(&requests, &mut devices, &mut policy);
@@ -120,7 +113,7 @@ fn joint_model_deploys_through_policy() {
     let cfgs = vec![DeviceConfig::consumer_nvme(), DeviceConfig::consumer_nvme()];
     let mut cfg = PipelineConfig::heimdall();
     cfg.joint = 3;
-    let models = train_homed(&requests, &cfgs, &cfg, 501, None).expect("trains");
+    let models = train_homed(&requests, &cfgs, &cfg, 501).expect("trains");
     let mut devices = fresh_devices(&cfgs, 502);
     let mut policy = HeimdallPolicy::new(models);
     let result = replay_homed(&requests, &mut devices, &mut policy);
@@ -140,7 +133,7 @@ fn deterministic_experiments_across_crates() {
     let cfgs = vec![DeviceConfig::consumer_nvme(), DeviceConfig::consumer_nvme()];
     let run_once = || {
         let models =
-            train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 601, None).expect("trains");
+            train_homed(&requests, &cfgs, &PipelineConfig::heimdall(), 601).expect("trains");
         let mut devices = fresh_devices(&cfgs, 602);
         let mut policy = HeimdallPolicy::new(models);
         replay_homed(&requests, &mut devices, &mut policy)

@@ -20,10 +20,8 @@
 //!     for all three builders over both view forms;
 //!   - `run_batch` against `run_view` over the index projection, end to
 //!     end (parameters, scaler, threshold, report);
-//!   - `run_view` through a `StageCache` over both forms of a log with
-//!     writes, against `run_batch`, second and third call a hit;
-//!   - `stage_key_view` across the forms (the stage-cache contract: same
-//!     logical log, same cache cell);
+//!   - `run_view` over the batch, its read indices and an index
+//!     projection of a log with writes, against `run_batch`;
 //!   - tuned thresholds, labels and the noise-filter keep mask over the
 //!     `read_indices` view of a log against a batch holding only its
 //!     reads.
@@ -37,8 +35,7 @@ use heimdall_core::features::{
 use heimdall_core::filtering::{filter_view, FilterConfig};
 use heimdall_core::labeling::{period_label_view, tune_thresholds_view};
 use heimdall_core::pipeline::{run_batch, run_view, PipelineConfig, PipelineReport, Trained};
-use heimdall_core::stage_cache::stage_key_view;
-use heimdall_core::{IoRecord, StageCache};
+use heimdall_core::IoRecord;
 use heimdall_integration::gen::ViewForms;
 use heimdall_nn::Dataset;
 use heimdall_ssd::{DeviceConfig, SsdDevice};
@@ -215,13 +212,13 @@ fn batch_pipeline_matches_slice_pipeline_end_to_end() {
         }),
     ] {
         let want = run_batch(&batch, &cfg).expect("batch pipeline trains");
-        let got = run_view(&projection, &cfg, None).expect("projected pipeline trains");
+        let got = run_view(&projection, &cfg).expect("projected pipeline trains");
         assert_trained_eq(&got, &want, name);
     }
 }
 
 #[test]
-fn cached_run_view_matches_run_and_run_batch_on_a_log_with_writes() {
+fn run_view_matches_run_batch_on_every_form_of_a_log_with_writes() {
     let batch = collected(WorkloadProfile::TencentLike, 76, 6);
     let reads = read_indices(&batch);
     assert!(
@@ -231,59 +228,20 @@ fn cached_run_view_matches_run_and_run_batch_on_a_log_with_writes() {
     let cfg = PipelineConfig::heimdall();
     let want = run_batch(&batch, &cfg).expect("batch pipeline trains");
 
-    let cache = StageCache::new();
-    let via_batch = run_view(&ReadView::from(&batch), &cfg, Some(&cache)).expect("trains");
-    assert_eq!((cache.hits(), cache.misses()), (0, 1), "first call builds");
-    assert_trained_eq(&via_batch, &want, "cached batch view");
-    // The reads alone, by index, hash to the same stage key as the batch
-    // after its write drop: the second call must be a hit.
+    let via_batch = run_view(&ReadView::from(&batch), &cfg).expect("trains");
+    assert_trained_eq(&via_batch, &want, "batch view");
+    // The reads alone, by index: what the batch holds after its write drop.
     let read_view = ReadView::Indexed {
         batch: &batch,
         idx: &reads,
     };
-    let via_reads = run_view(&read_view, &cfg, Some(&cache)).expect("trains");
-    assert_eq!((cache.hits(), cache.misses()), (1, 1), "second call hits");
-    assert_trained_eq(&via_reads, &want, "cached read-index view");
+    let via_reads = run_view(&read_view, &cfg).expect("trains");
+    assert_trained_eq(&via_reads, &want, "read-index view");
     // An index projection that still selects writes composes with the drop.
     let forms = ViewForms::of(&batch.to_records());
     let [_, (_, indexed)] = forms.views();
-    let via_index = run_view(&indexed, &cfg, Some(&cache)).expect("trains");
-    assert_eq!((cache.hits(), cache.misses()), (2, 1), "third call hits");
-    assert_trained_eq(&via_index, &want, "cached indexed view");
-}
-
-#[test]
-fn stage_key_is_identical_across_view_forms() {
-    let batch = collected(WorkloadProfile::TencentLike, 74, 4);
-    let idx = read_indices(&batch);
-    let reads = read_rows(&batch);
-    let forms = ViewForms::of(&reads);
-    let [(_, read_batch), (_, projection)] = forms.views();
-    for cfg in [
-        PipelineConfig::heimdall(),
-        PipelineConfig::linnos_baseline(),
-    ] {
-        let want = stage_key_view(&read_batch, &cfg);
-        let via_index = stage_key_view(
-            &ReadView::Indexed {
-                batch: &batch,
-                idx: &idx,
-            },
-            &cfg,
-        );
-        assert_eq!(via_index, want, "read-index view key diverged");
-        assert_eq!(
-            stage_key_view(&projection, &cfg),
-            want,
-            "padded projection key diverged"
-        );
-    }
-    // Different logical logs must not collide just because views differ.
-    assert_ne!(
-        stage_key_view(&ReadView::Batch(&batch), &PipelineConfig::heimdall()),
-        stage_key_view(&read_batch, &PipelineConfig::heimdall()),
-        "full log and reads-only log share a key"
-    );
+    let via_index = run_view(&indexed, &cfg).expect("trains");
+    assert_trained_eq(&via_index, &want, "indexed view");
 }
 
 #[test]

@@ -1,18 +1,13 @@
 //! Differential tests for the training-path overhaul.
 //!
-//! 1. The lane-parallel minibatch kernels in [`Mlp::train`] must be a pure
-//!    reimplementation of the per-sample reference: same shuffle order,
-//!    same per-scalar operation order, same optimizer updates. We assert
-//!    that the two trained models hold bit-identical parameters and report
-//!    bit-identical per-epoch losses — across batch sizes with and without
-//!    ragged tails, for both optimizers. (The in-crate
-//!    `train_matches_reference_bit_for_bit` covers the other architectures.)
-//! 2. The cross-cell stage cache must never change what a sweep computes,
-//!    only whether it recomputes it: the rendered table and the run JSON
-//!    of the fig15 joint sweep are byte-identical with the cache on or
-//!    off, on one worker or eight.
+//! The lane-parallel minibatch kernels in [`Mlp::train`] must be a pure
+//! reimplementation of the per-sample reference: same shuffle order,
+//! same per-scalar operation order, same optimizer updates. We assert
+//! that the two trained models hold bit-identical parameters and report
+//! bit-identical per-epoch losses — across batch sizes with and without
+//! ragged tails, for both optimizers. (The in-crate
+//! `train_matches_reference_bit_for_bit` covers the other architectures.)
 
-use heimdall_bench::sweep::joint_replay_sweep_opts;
 use heimdall_integration::gen::synthetic_dataset as synthetic;
 use heimdall_nn::{Dataset, Mlp, MlpConfig, Optimizer, TrainOpts};
 
@@ -60,27 +55,5 @@ fn batched_backprop_matches_reference_across_batch_sizes_and_optimizers() {
             };
             assert_parity(&train, &opts, &format!("{name}/batch={batch_size}"));
         }
-    }
-}
-
-#[test]
-fn stage_cache_never_changes_sweep_output() {
-    let ps = [1usize, 3];
-    let seeds = [41u64, 42];
-    // Cache off, one worker, is the ground truth; the cache (on one or
-    // eight workers) must reproduce it byte for byte.
-    let (table_base, runs_base) = joint_replay_sweep_opts(&ps, &seeds, 8, 1, false);
-    let runs_base = runs_base.to_string();
-    for (jobs, share) in [(8usize, false), (1, true), (8, true)] {
-        let (table, runs) = joint_replay_sweep_opts(&ps, &seeds, 8, jobs, share);
-        assert_eq!(
-            table, table_base,
-            "table diverged with jobs={jobs} share_stages={share}"
-        );
-        assert_eq!(
-            runs.to_string(),
-            runs_base,
-            "run JSON diverged with jobs={jobs} share_stages={share}"
-        );
     }
 }
