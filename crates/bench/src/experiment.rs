@@ -62,18 +62,6 @@ impl PolicyKind {
         PolicyKind::LinnosHedge,
         PolicyKind::Heimdall,
     ];
-
-    /// Whether this policy needs trained models.
-    pub fn needs_models(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Linnos
-                | PolicyKind::LinnosHedge
-                | PolicyKind::Heimdall
-                | PolicyKind::HeimdallJoint(_)
-                | PolicyKind::HeimdallFallback
-        )
-    }
 }
 
 /// One fully-specified experiment: a homed request stream replayed against
@@ -126,13 +114,6 @@ impl ExperimentSetup {
             linnos_models: None,
             joint_models: None,
         }
-    }
-
-    /// Attaches scripted fault plans to the replay devices (training always
-    /// profiles healthy devices — an operator profiles before the fault).
-    pub fn with_fault_plans(mut self, plans: Vec<FaultPlan>) -> Self {
-        self.fault_plans = plans;
-        self
     }
 
     /// Overrides the device pair (e.g. the heterogeneous Fig 12 pair).

@@ -37,7 +37,7 @@ pub enum FaultScenario {
 }
 
 /// Service-time inflation of the fail-slow scenario.
-pub const FAIL_SLOW_MULTIPLIER: f64 = 25.0;
+pub(crate) const FAIL_SLOW_MULTIPLIER: f64 = 25.0;
 
 impl FaultScenario {
     /// Every scenario, control first.
@@ -96,7 +96,7 @@ impl FaultScenario {
 /// The `fig_fault` policy set: the degradation question is "does the
 /// wrapper beat plain Heimdall under faults while matching it healthy?",
 /// with the baseline as the floor.
-pub const FAULT_POLICIES: [PolicyKind; 3] = [
+pub(crate) const FAULT_POLICIES: [PolicyKind; 3] = [
     PolicyKind::Baseline,
     PolicyKind::Heimdall,
     PolicyKind::HeimdallFallback,

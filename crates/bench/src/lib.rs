@@ -22,7 +22,7 @@ pub use experiment::{
 };
 pub use fault::{fault_sweep, FaultScenario};
 pub use report::{Json, RunReport};
-pub use runner::{resolve_jobs, run_ordered};
+pub use runner::run_ordered;
 pub use sweep::{joint_replay_sweep, replay_json};
 pub use table::{fmt_us, print_header, print_row, row_string};
 
@@ -55,7 +55,7 @@ impl Args {
     }
 
     /// Raw string option.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get_str(&self, name: &str) -> Option<&str> {
         let flag = format!("--{name}");
         self.raw
             .iter()

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 /// Resolves a `--jobs` request: `0` (or absence, by convention) means "use
 /// the available hardware parallelism".
-pub fn resolve_jobs(requested: usize) -> usize {
+pub(crate) fn resolve_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }

@@ -234,7 +234,8 @@ pub struct ReplayProfile {
 
 impl ReplayProfile {
     /// Total attributed time across all phases, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
+    #[cfg(test)]
+    fn total_ns(&self) -> u64 {
         self.queue_ns + self.policy_ns + self.device_ns + self.recorder_ns
     }
 }

@@ -105,7 +105,7 @@ pub struct DriftDetector {
 
 impl DriftDetector {
     /// Conventional PSI threshold for "significant shift".
-    pub const SIGNIFICANT: f64 = 0.25;
+    pub(crate) const SIGNIFICANT: f64 = 0.25;
 
     /// Fits reference sketches from the training window's features.
     ///

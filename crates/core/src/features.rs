@@ -154,7 +154,7 @@ impl FeatureSpec {
 
     /// LinnOS' raw (pre-digitization) features: pending queue length plus
     /// four historical queue lengths and latencies. No size (per-page model).
-    pub fn linnos_raw() -> Self {
+    pub(crate) fn linnos_raw() -> Self {
         let mut columns = vec![Feature::QueueLen];
         columns.extend((0..4).map(Feature::HistQueueLen));
         columns.extend((0..4).map(Feature::HistLatency));
@@ -218,7 +218,7 @@ impl FeatureSpec {
     /// Resolves each column to a [`CompiledSpec`] source once, so extraction
     /// streams whole columns instead of re-matching the feature enum per
     /// cell (see [`CompiledSpec`]).
-    pub fn compile(&self) -> CompiledSpec {
+    pub(crate) fn compile(&self) -> CompiledSpec {
         let depth = self.hist_depth;
         let cols = self
             .columns
@@ -263,7 +263,7 @@ enum ColSource {
 /// each feature column over a whole shard of emitted rows, writing straight
 /// into the final row-major dataset buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledSpec {
+pub(crate) struct CompiledSpec {
     cols: Vec<ColSource>,
     hist_depth: usize,
 }
@@ -272,11 +272,6 @@ impl CompiledSpec {
     /// Number of columns.
     pub fn dim(&self) -> usize {
         self.cols.len()
-    }
-
-    /// History depth the plan was compiled at.
-    pub fn hist_depth(&self) -> usize {
-        self.hist_depth
     }
 
     /// Fills `count` emitted rows starting at global row `r0` into the
@@ -373,7 +368,7 @@ impl CompiledSpec {
 /// promotion-ordered history columns and the per-emitted-row scalars every
 /// shard fill reads from. No per-row `Vec` is allocated anywhere downstream.
 #[derive(Debug, Default)]
-pub struct FeatureScratch {
+pub(crate) struct FeatureScratch {
     /// Min-heap of `(finish_us, record index)` for in-flight I/Os. The
     /// index tie-break reproduces the reference walk's stable sort order.
     pending: BinaryHeap<Reverse<(u64, usize)>>,
@@ -702,7 +697,7 @@ pub fn feature_correlations(data: &Dataset, spec: &FeatureSpec) -> Vec<(Feature,
 
 /// Selects the columns whose absolute label correlation meets `min_abs`,
 /// returning the reduced spec (§3.3 feature selection).
-pub fn select_features(data: &Dataset, spec: &FeatureSpec, min_abs: f64) -> FeatureSpec {
+pub(crate) fn select_features(data: &Dataset, spec: &FeatureSpec, min_abs: f64) -> FeatureSpec {
     let corr = feature_correlations(data, spec);
     let keep: Vec<Feature> = corr
         .into_iter()
@@ -719,7 +714,7 @@ pub fn select_features(data: &Dataset, spec: &FeatureSpec, min_abs: f64) -> Feat
 }
 
 /// Number of digitized inputs in the LinnOS model.
-pub const LINNOS_DIM: usize = 31;
+pub(crate) const LINNOS_DIM: usize = 31;
 
 /// Builds LinnOS' 31-feature digitized dataset: 3 digits of pending queue
 /// length, 3 digits × 4 historical queue lengths, 4 digits × 4 historical
@@ -1311,7 +1306,7 @@ mod tests {
         };
         let compiled = spec.compile();
         assert_eq!(compiled.dim(), 2);
-        assert_eq!(compiled.hist_depth(), 2);
+        assert_eq!(compiled.hist_depth, 2);
         assert_eq!(compiled.cols[0], ColSource::Zero);
         assert_eq!(compiled.cols[1], ColSource::QueueLen);
     }

@@ -497,7 +497,7 @@ pub fn period_label_with_view(
 /// # Panics
 ///
 /// Panics if `labels` does not hold one label per record.
-pub fn labeling_objective_view(view: &ReadView<'_>, labels: &[bool]) -> f64 {
+pub(crate) fn labeling_objective_view(view: &ReadView<'_>, labels: &[bool]) -> f64 {
     labeling_objective_scratch(view, labels, &mut Vec::new())
 }
 

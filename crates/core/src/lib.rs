@@ -65,7 +65,7 @@ pub mod retrain;
 
 pub use collect::{collect_batch, read_indices, IoRecord, ReadView, RecordBatch};
 pub use drift::DriftDetector;
-pub use features::{CompiledSpec, Feature, FeatureScratch, FeatureSpec};
+pub use features::{Feature, FeatureSpec};
 pub use filtering::{FilterConfig, FilterStats};
 pub use labeling::PeriodThresholds;
 pub use model::{DeviceRuntime, OnlineAdmitter};

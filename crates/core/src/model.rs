@@ -1,5 +1,5 @@
 //! Online deployment runtime: the per-device state an admission policy
-//! maintains to feed a [`Trained`](crate::pipeline::Trained) model.
+//! maintains to feed a [`Trained`] model.
 //!
 //! At decision time the policy knows the incoming request's size and the
 //! device's current queue length; the history features come from the ring

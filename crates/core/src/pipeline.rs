@@ -6,8 +6,8 @@
 
 use crate::collect::{read_indices, ReadView, RecordBatch};
 use crate::features::{
-    build_dataset_stats, build_dataset_view, build_joint_dataset_view, build_linnos_dataset_view,
-    select_features, FeatureSpec,
+    build_dataset_stats, build_joint_dataset_view, build_linnos_dataset_view, select_features,
+    FeatureSpec,
 };
 use crate::filtering::{filter_view, FilterConfig, FilterStats};
 use crate::labeling::{
@@ -286,7 +286,7 @@ impl Trained {
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input dimension.
-    pub fn predict_raw_batch_into(
+    pub(crate) fn predict_raw_batch_into(
         &self,
         rows: &[f32],
         scratch: &mut BatchScratch,
@@ -296,7 +296,7 @@ impl Trained {
     }
 
     /// Allocating wrapper over [`Trained::predict_raw_batch_into`].
-    pub fn predict_raw_batch(&self, rows: &[f32]) -> Vec<f32> {
+    pub(crate) fn predict_raw_batch(&self, rows: &[f32]) -> Vec<f32> {
         let mut out = Vec::new();
         BatchScratch::with_local(|scratch| self.predict_raw_batch_into(rows, scratch, &mut out));
         out
@@ -614,53 +614,6 @@ fn run_reads(
     Ok((trained, report))
 }
 
-/// K-fold cross-validation (the "MV" pipeline stage): labels and filters
-/// the records once, then trains `k` models on rotating folds and reports
-/// each fold's metrics. Used during model engineering to check that an
-/// architecture's accuracy is not an artifact of one particular split.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] when the input cannot produce `k` non-empty
-/// folds.
-pub fn cross_validate(
-    view: &ReadView<'_>,
-    cfg: &PipelineConfig,
-    k: usize,
-) -> Result<Vec<MetricReport>, PipelineError> {
-    assert!(k >= 2, "need at least two folds");
-    let spec = spec_for(&cfg.features);
-    let mut data = with_reads(view, |view| {
-        if view.is_empty() {
-            return Err(PipelineError::NoRecords);
-        }
-        let la = label_stage_view(view, cfg);
-        Ok(build_dataset_view(view, &la.labels, &la.keep, &spec, 1).0)
-    })?;
-    if data.rows() < k {
-        return Err(PipelineError::NoRows);
-    }
-    data.shuffle(cfg.seed ^ 0x6376);
-
-    let mut reports = Vec::with_capacity(k);
-    for fold in 0..k {
-        let (mut train, mut val) = data.fold(k, fold);
-        if train.is_empty() || val.is_empty() {
-            return Err(PipelineError::EmptySplit);
-        }
-        if let Some(kind) = cfg.scaling {
-            let scaler = Scaler::fit_columns(kind, &train);
-            scaler.transform(&mut train);
-            scaler.transform(&mut val);
-        }
-        let mut mlp = Mlp::new(mlp_config(cfg, train.dim), cfg.seed + fold as u64);
-        mlp.train(&train, &cfg.train);
-        let scores: Vec<f32> = (0..val.rows()).map(|i| mlp.predict(val.row(i))).collect();
-        reports.push(MetricReport::compute(&scores, &val.labels_bool()));
-    }
-    Ok(reports)
-}
-
 /// Quantizes when the architecture supports the integer pipeline
 /// (ReLU-family hidden layers); architectures outside that envelope (only
 /// reachable through explicit hyperparameter sweeps) deploy in f32.
@@ -773,6 +726,7 @@ fn spec_for(mode: &FeatureMode) -> FeatureSpec {
 mod tests {
     use super::*;
     use crate::collect::{collect_batch, IoRecord};
+    use crate::features::build_dataset_view;
     use heimdall_ssd::{DeviceConfig, SsdDevice};
     use heimdall_trace::gen::TraceBuilder;
     use heimdall_trace::{IoOp, WorkloadProfile};
@@ -843,10 +797,6 @@ mod tests {
             run_batch(&empty, &cfg).unwrap_err(),
             PipelineError::NoRecords
         );
-        assert_eq!(
-            cross_validate(&ReadView::from(&empty), &cfg, 2).unwrap_err(),
-            PipelineError::NoRecords
-        );
     }
 
     /// `n` synthetic I/Os `gap_us` apart; `io(i)` gives the `i`-th one's
@@ -882,8 +832,8 @@ mod tests {
         (IoOp::Read, latency, 4_096)
     }
 
-    /// Degenerate logs through both entry points: each returns a typed
-    /// result, never a panic. A row needs `hist_depth` completions that
+    /// Degenerate logs through `run_batch`: each returns a typed result,
+    /// never a panic. A row needs `hist_depth` completions that
     /// finished before its arrival, so a log too short to see that many,
     /// or one where every read arrives at once, has no rows.
     #[test]
@@ -919,11 +869,6 @@ mod tests {
         let cfg = PipelineConfig::heimdall();
         for (name, log, want) in &cases {
             assert_eq!(&run_batch(log, &cfg).map(|_| ()), want, "run_batch: {name}");
-            assert_eq!(
-                &cross_validate(&ReadView::from(log), &cfg, 2).map(|_| ()),
-                want,
-                "cross_validate: {name}"
-            );
         }
     }
 
@@ -982,16 +927,6 @@ mod tests {
         let c = truth_auc(&cutoff_model, &records);
         assert!(p > 0.8, "period truth-AUC too low: {p}");
         assert!(c > 0.8, "cutoff truth-AUC too low: {c}");
-    }
-
-    #[test]
-    fn cross_validation_reports_per_fold() {
-        let records = busy_records(9, 20);
-        let reports =
-            cross_validate(&ReadView::from(&records), &PipelineConfig::heimdall(), 3).unwrap();
-        assert_eq!(reports.len(), 3);
-        let mean: f64 = reports.iter().map(|r| r.roc_auc).sum::<f64>() / 3.0;
-        assert!(mean > 0.7, "mean CV auc {mean}");
     }
 
     #[test]

@@ -110,38 +110,11 @@ pub fn sort_for_quantiles(xs: &mut [f64]) {
     xs.sort_unstable_by(cmp_f64);
 }
 
-/// Pearson correlation coefficient; `0.0` if either side has zero variance.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
-/// [`pearson`] over an iterator of x values (e.g. a strided dataset
-/// column) against a label slice — no column materialization. The
-/// accumulation order is exactly [`pearson`]'s (one mean pass per side,
-/// then one joint covariance/variance pass), so the result is bitwise
-/// identical to `pearson(&xs.collect::<Vec<_>>(), ys)`.
+/// Pearson correlation coefficient of an iterator of x values (e.g. a
+/// strided dataset column) against a label slice, with no column
+/// materialization; `0.0` if either side has zero variance. One mean pass
+/// per side, then one joint covariance/variance pass: the tests hold it
+/// bitwise to the two-slice textbook form.
 ///
 /// # Panics
 ///
@@ -192,6 +165,34 @@ pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two-slice Pearson correlation, the reference [`pearson_iter`] is held
+    /// to; `0.0` if either side has zero variance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        assert_eq!(xs.len(), ys.len(), "length mismatch");
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let mx = mean(xs);
+        let my = mean(ys);
+        let mut cov = 0.0;
+        let mut vx = 0.0;
+        let mut vy = 0.0;
+        for (x, y) in xs.iter().zip(ys) {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx) * (x - mx);
+            vy += (y - my) * (y - my);
+        }
+        if vx == 0.0 || vy == 0.0 {
+            0.0
+        } else {
+            cov / (vx.sqrt() * vy.sqrt())
+        }
+    }
 
     #[test]
     fn mean_and_std() {

@@ -11,7 +11,7 @@
 //!
 //! Every candidate draws its hyperparameters from its own RNG, seeded by a
 //! SplitMix64 mix of `(cfg.seed, family stable id, candidate index)` — see
-//! [`candidate_seed`]. Two consequences:
+//! `candidate_seed`. Two consequences:
 //!
 //! - the search result is byte-identical at any [`AutoMlConfig::jobs`]
 //!   count, because no candidate's randomness depends on when (or on which
@@ -94,7 +94,7 @@ impl Family {
     /// Stable identity: this family's row in [`Family::ALL`]. Used for
     /// descriptor one-hot slots and candidate seed derivation, so neither
     /// depends on which families a particular search configures.
-    pub fn stable_id(self) -> usize {
+    pub(crate) fn stable_id(self) -> usize {
         match self {
             Family::Sgd => 0,
             Family::PassiveAggressive => 1,
@@ -232,7 +232,7 @@ impl Family {
     }
 
     /// Samples candidate number `candidate` of this family from its own
-    /// derived RNG — see [`candidate_seed`] and the module-level
+    /// derived RNG — see `candidate_seed` and the module-level
     /// determinism notes.
     pub fn sample_seeded(self, base_seed: u64, candidate: usize) -> Box<dyn Classifier> {
         let mut rng = Rng64::new(candidate_seed(base_seed, self, candidate as u64));
@@ -245,7 +245,7 @@ impl Family {
 /// axes before the finalizer scrambles them. The family axis uses
 /// [`Family::stable_id`], never the family's position in the configured
 /// list.
-pub fn candidate_seed(base: u64, family: Family, candidate: u64) -> u64 {
+pub(crate) fn candidate_seed(base: u64, family: Family, candidate: u64) -> u64 {
     let mut z = base
         .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(1 + family.stable_id() as u64))
         .wrapping_add(0x632b_e591_96d9_a2bbu64.wrapping_mul(1 + candidate));

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Gaussian naive Bayes with per-feature class-conditional normals.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GaussianNb {
+pub(crate) struct GaussianNb {
     mean: [Vec<f64>; 2],
     var: [Vec<f64>; 2],
     log_prior: [f64; 2],
@@ -76,7 +76,7 @@ impl Classifier for GaussianNb {
 
 /// Bernoulli naive Bayes; features are binarized at their training mean.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BernoulliNb {
+pub(crate) struct BernoulliNb {
     thresholds: Vec<f64>,
     /// `p[class][feature]` = P(feature on | class), Laplace-smoothed.
     p_on: [Vec<f64>; 2],
@@ -159,7 +159,7 @@ impl Classifier for BernoulliNb {
 /// Multinomial naive Bayes; negative feature values are clamped to zero
 /// (the model expects count-like inputs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MultinomialNb {
+pub(crate) struct MultinomialNb {
     /// `log_p[class][feature]`.
     log_p: [Vec<f64>; 2],
     log_prior: [f64; 2],

@@ -23,27 +23,28 @@
 //! ```
 
 pub mod automl;
-pub mod bayes;
-pub mod ensemble;
+mod bayes;
+mod ensemble;
 pub mod knn;
 pub mod linear;
-pub mod svm;
+mod svm;
 pub mod tree;
 pub mod zoo;
 
 use heimdall_nn::Dataset;
 
-pub use automl::{candidate_seed, AutoMl, AutoMlConfig, AutoMlResult, CandidateReport, Family};
-pub use bayes::{BernoulliNb, GaussianNb, MultinomialNb};
+pub use automl::{AutoMl, AutoMlConfig, AutoMlResult, CandidateReport, Family};
+pub(crate) use bayes::{BernoulliNb, GaussianNb, MultinomialNb};
 pub use ensemble::{AdaBoost, ExtraTrees, GradientBoosting, RandomForest};
 pub use knn::KNearestNeighbors;
-pub use linear::{
-    LinearDiscriminant, LinearSvm, LogisticRegression, PassiveAggressive, Perceptron,
-    QuadraticDiscriminant, SgdClassifier,
+pub(crate) use linear::{
+    LinearDiscriminant, LinearSvm, PassiveAggressive, QuadraticDiscriminant, SgdClassifier,
 };
+pub use linear::{LogisticRegression, Perceptron};
 pub use svm::RbfSvc;
 pub use tree::{SplitMode, Tree, TreeParams, TreeTask};
-pub use zoo::{DecisionTreeClassifier, MlpWrapper, RnnWrapper};
+pub(crate) use zoo::DecisionTreeClassifier;
+pub use zoo::{MlpWrapper, RnnWrapper};
 
 /// A binary classifier predicting `P(slow)` for a feature row.
 ///
@@ -103,7 +104,7 @@ pub fn evaluate_auc(model: &dyn Classifier, data: &Dataset) -> f64 {
 
 /// Length of a normalized descriptor: 16 one-hot family slots followed by
 /// 16 hyperparameter slots.
-pub const DESCRIPTOR_LEN: usize = 32;
+pub(crate) const DESCRIPTOR_LEN: usize = 32;
 
 /// Pads/truncates a descriptor to the workspace-standard
 /// [`DESCRIPTOR_LEN`] slots so cosine similarity is well-defined across
@@ -117,7 +118,7 @@ pub const DESCRIPTOR_LEN: usize = 32;
 /// Panics if `family_id >= 16` — every family must own a dedicated slot,
 /// the seed's `% 8` wraparound silently aliased families (e.g. 0/8, 7/15)
 /// and inflated Fig 18c cross-family similarity.
-pub fn normalize_descriptor(mut v: Vec<f64>, family_id: usize) -> Vec<f64> {
+pub(crate) fn normalize_descriptor(mut v: Vec<f64>, family_id: usize) -> Vec<f64> {
     assert!(family_id < 16, "family_id {family_id} out of one-hot range");
     let mut out = vec![0.0; DESCRIPTOR_LEN];
     out[family_id] = 1.0;

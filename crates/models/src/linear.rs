@@ -147,7 +147,7 @@ impl Classifier for Perceptron {
 
 /// Passive-aggressive classifier (PA-I with aggressiveness `c`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PassiveAggressive {
+pub(crate) struct PassiveAggressive {
     /// Aggressiveness cap.
     pub c: f32,
     /// Epochs.
@@ -212,7 +212,7 @@ impl Classifier for PassiveAggressive {
 
 /// Linear SVM via SGD on hinge loss.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LinearSvm {
+pub(crate) struct LinearSvm {
     /// Learning rate.
     pub lr: f32,
     /// Epochs.
@@ -279,7 +279,7 @@ impl Classifier for LinearSvm {
 /// Generic SGD classifier (the scikit-learn `SGDClassifier` analogue):
 /// modified-Huber-style smoothed hinge.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SgdClassifier {
+pub(crate) struct SgdClassifier {
     /// Learning rate.
     pub lr: f32,
     /// Epochs.
@@ -349,7 +349,7 @@ impl Classifier for SgdClassifier {
 
 /// Per-class Gaussian statistics with a *shared* diagonal covariance (LDA).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LinearDiscriminant {
+pub(crate) struct LinearDiscriminant {
     mean0: Vec<f64>,
     mean1: Vec<f64>,
     var: Vec<f64>,
@@ -405,7 +405,7 @@ impl LinearDiscriminant {
 
 /// Per-class Gaussian with *per-class* diagonal covariance (QDA).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct QuadraticDiscriminant {
+pub(crate) struct QuadraticDiscriminant {
     mean0: Vec<f64>,
     mean1: Vec<f64>,
     var0: Vec<f64>,

@@ -17,7 +17,7 @@
 //!   practice. [`Tree::fit_reference`] keeps the rescan as the oracle.
 //! - **Struct-of-arrays node layout**: nodes live in four parallel arrays
 //!   (`feat`/`thr`/`left`/`right`, 16 bytes per node vs. 32 for the old
-//!   enum) so batched traversal ([`Tree::for_each_prediction`]) streams
+//!   enum) so batched traversal (`Tree::for_each_prediction`) streams
 //!   rows against hot, dense node data.
 
 use heimdall_nn::Dataset;
@@ -89,7 +89,7 @@ pub enum TreeTask {
 /// Buffers reused across every node of a fit (and across trees when the
 /// caller fits many, via [`Tree::fit_with_scratch`]).
 #[derive(Debug, Default)]
-pub struct GrowScratch {
+pub(crate) struct GrowScratch {
     /// `(feature value, target)` pairs, sorted by value per candidate.
     pairs: Vec<(f32, f32)>,
     /// Unique feature values, ascending.
@@ -133,7 +133,7 @@ impl Tree {
     /// [`Tree::fit`] with caller-owned scratch so ensembles fitting many
     /// trees reuse the sweep buffers.
     #[allow(clippy::too_many_arguments)]
-    pub fn fit_with_scratch(
+    pub(crate) fn fit_with_scratch(
         data: &Dataset,
         targets: &[f32],
         idx: &[usize],
@@ -354,7 +354,7 @@ impl Tree {
     /// # Panics
     ///
     /// Panics if `data.dim != self.dim`.
-    pub fn for_each_prediction(&self, data: &Dataset, mut f: impl FnMut(usize, f32)) {
+    pub(crate) fn for_each_prediction(&self, data: &Dataset, mut f: impl FnMut(usize, f32)) {
         assert_eq!(data.dim, self.dim, "input dimensionality mismatch");
         if self.dim == 0 {
             for r in 0..data.rows() {
@@ -379,8 +379,9 @@ impl Tree {
         }
     }
 
-    /// Number of nodes (descriptor/complexity measure).
-    pub fn node_count(&self) -> usize {
+    /// Number of nodes.
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.feat.len()
     }
 

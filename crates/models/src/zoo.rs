@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Standalone CART decision tree classifier.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DecisionTreeClassifier {
+pub(crate) struct DecisionTreeClassifier {
     /// Tree growth parameters.
     pub params: TreeParams,
     tree: Option<Tree>,

@@ -149,65 +149,8 @@ impl Dataset {
         (0..self.rows()).map(|i| self.row(i)[c] as f64).collect()
     }
 
-    /// Distribution balancing by oversampling (the "TB" pipeline stage):
-    /// duplicates positive rows (with deterministic selection) until the
-    /// positive rate reaches `target` or every positive has been duplicated
-    /// `max_dup` times. The paper notes over/undersampling "might expose
-    /// some risk" (§3.6) and prefers data selection — this utility exists
-    /// so that trade-off can be measured rather than assumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not within `(0, 1)`.
-    pub fn oversample_positive(&self, target: f64, max_dup: usize, seed: u64) -> Dataset {
-        assert!(target > 0.0 && target < 1.0, "target rate out of range");
-        let positives: Vec<usize> = (0..self.rows()).filter(|&i| self.y[i] >= 0.5).collect();
-        let mut out = self.clone();
-        if positives.is_empty() {
-            return out;
-        }
-        let mut rng = Rng64::new(seed ^ 0x6f76_6572);
-        let mut dup = 0usize;
-        let budget = positives.len() * max_dup;
-        while out.positive_rate() < target && dup < budget {
-            let &i = rng.choose(&positives).expect("non-empty");
-            let row = self.row(i).to_vec();
-            out.push(&row, self.y[i]);
-            dup += 1;
-        }
-        out
-    }
-
-    /// Distribution balancing by undersampling: deterministically drops
-    /// negative rows until the positive rate reaches `target` (or only
-    /// `min_neg` negatives remain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not within `(0, 1)`.
-    pub fn undersample_negative(&self, target: f64, min_neg: usize, seed: u64) -> Dataset {
-        assert!(target > 0.0 && target < 1.0, "target rate out of range");
-        let pos: Vec<usize> = (0..self.rows()).filter(|&i| self.y[i] >= 0.5).collect();
-        let mut neg: Vec<usize> = (0..self.rows()).filter(|&i| self.y[i] < 0.5).collect();
-        if pos.is_empty() || neg.is_empty() {
-            return self.clone();
-        }
-        let mut rng = Rng64::new(seed ^ 0x756e_6465);
-        rng.shuffle(&mut neg);
-        // Keep enough negatives for the target rate: p/(p+n) = target.
-        let want_neg = ((pos.len() as f64) * (1.0 - target) / target) as usize;
-        neg.truncate(want_neg.max(min_neg));
-        let mut keep: Vec<usize> = pos.into_iter().chain(neg).collect();
-        keep.sort_unstable();
-        let mut out = Dataset::new(self.dim);
-        for i in keep {
-            out.push(self.row(i), self.y[i]);
-        }
-        out
-    }
-
-    /// Splits into `k` contiguous folds for cross-validation (the "MV"
-    /// pipeline stage); fold `i` is the validation side, the rest train.
+    /// Splits into `k` contiguous folds; fold `i` is the validation side,
+    /// the rest train.
     ///
     /// # Panics
     ///
@@ -305,47 +248,6 @@ mod tests {
     fn positive_rate_counts() {
         let d = sample();
         assert!((d.positive_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oversampling_raises_positive_rate() {
-        let mut d = Dataset::new(1);
-        for i in 0..100 {
-            d.push(&[i as f32], if i < 5 { 1.0 } else { 0.0 });
-        }
-        let balanced = d.oversample_positive(0.3, 20, 1);
-        assert!(
-            balanced.positive_rate() >= 0.29,
-            "rate {}",
-            balanced.positive_rate()
-        );
-        // Originals all survive.
-        assert!(balanced.rows() > d.rows());
-    }
-
-    #[test]
-    fn oversampling_without_positives_is_identity() {
-        let mut d = Dataset::new(1);
-        d.push(&[1.0], 0.0);
-        let out = d.oversample_positive(0.5, 10, 2);
-        assert_eq!(out.rows(), 1);
-    }
-
-    #[test]
-    fn undersampling_hits_target_rate() {
-        let mut d = Dataset::new(1);
-        for i in 0..200 {
-            d.push(&[i as f32], if i < 10 { 1.0 } else { 0.0 });
-        }
-        let balanced = d.undersample_negative(0.25, 1, 3);
-        assert!(
-            (balanced.positive_rate() - 0.25).abs() < 0.05,
-            "rate {}",
-            balanced.positive_rate()
-        );
-        // All positives kept.
-        let pos = balanced.y.iter().filter(|&&y| y >= 0.5).count();
-        assert_eq!(pos, 10);
     }
 
     #[test]

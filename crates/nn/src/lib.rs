@@ -27,13 +27,13 @@ pub mod batch;
 pub mod data;
 pub mod mlp;
 pub mod quantized;
-pub mod rnn;
+mod rnn;
 pub mod scaler;
 
 pub use activation::Activation;
 pub use batch::BatchScratch;
 pub use data::Dataset;
 pub use mlp::{dot_f32, Mlp, MlpConfig, Optimizer, OutputLayer, TrainOpts, TrainStats};
-pub use quantized::{QuantizedMlp, PAPER_SCALE};
+pub use quantized::QuantizedMlp;
 pub use rnn::{RnnClassifier, RnnTrainOpts};
 pub use scaler::{digitize, ColumnStats, Scaler, ScalerKind};

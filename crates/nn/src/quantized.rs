@@ -17,7 +17,7 @@ use crate::mlp::Mlp;
 use serde::{Deserialize, Serialize};
 
 /// The paper's quantization scale.
-pub const PAPER_SCALE: i32 = 1024;
+pub(crate) const PAPER_SCALE: i32 = 1024;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct QLayer {

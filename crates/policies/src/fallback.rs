@@ -47,7 +47,7 @@ const DRIFT_FEATURES: usize = 1;
 
 /// Thresholds and window lengths for [`FallbackPolicy`].
 #[derive(Debug, Clone, Copy)]
-pub struct FallbackConfig {
+pub(crate) struct FallbackConfig {
     /// Reads used to fit the PSI reference and the latency baseline.
     pub warmup_reads: u64,
     /// Observations per PSI evaluation window.
@@ -164,7 +164,6 @@ pub struct FallbackPolicy {
     latency_alarm: bool,
     psi_alarms: u64,
     latency_alarms: u64,
-    max_psi: f64,
     fallback_decisions: u64,
     degradations: u64,
 }
@@ -182,7 +181,7 @@ impl FallbackPolicy {
     ///
     /// Panics if the configuration is degenerate (zero windows, collapse
     /// factor not above 1, PSI threshold not positive).
-    pub fn with_config(
+    pub(crate) fn with_config(
         primary: Box<dyn Policy>,
         fallback: Box<dyn Policy>,
         cfg: FallbackConfig,
@@ -208,14 +207,14 @@ impl FallbackPolicy {
             latency_alarm: false,
             psi_alarms: 0,
             latency_alarms: 0,
-            max_psi: 0.0,
             fallback_decisions: 0,
             degradations: 0,
         }
     }
 
     /// `true` while reads are served by the fallback (degraded or cooldown).
-    pub fn is_degraded(&self) -> bool {
+    #[cfg(test)]
+    fn is_degraded(&self) -> bool {
         self.mode != Mode::Primary
     }
 
@@ -226,14 +225,9 @@ impl FallbackPolicy {
 
     /// Cumulative `(psi, latency)` alarm counts — which health signal has
     /// been driving demotions.
-    pub fn alarm_counts(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn alarm_counts(&self) -> (u64, u64) {
         (self.psi_alarms, self.latency_alarms)
-    }
-
-    /// Largest PSI seen over any evaluation window so far — the headroom
-    /// between a workload's healthy variation and the alarm threshold.
-    pub fn max_psi(&self) -> f64 {
-        self.max_psi
     }
 
     /// Feeds the drift detector one feature row, fitting the reference
@@ -255,7 +249,6 @@ impl FallbackPolicy {
             det.observe(&row);
             if det.observed() >= self.cfg.psi_window {
                 let psi = det.psi();
-                self.max_psi = self.max_psi.max(psi);
                 if psi >= self.cfg.psi_threshold {
                     self.psi_alarm = true;
                     self.psi_alarms += 1;

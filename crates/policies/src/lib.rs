@@ -11,9 +11,9 @@
 pub mod fallback;
 pub mod heuristics;
 pub mod ml;
-pub mod simple;
+mod simple;
 
-pub use fallback::{FallbackConfig, FallbackPolicy};
+pub use fallback::FallbackPolicy;
 pub use heuristics::{Ams, Heron, C3};
 pub use ml::{HeimdallPolicy, LinnOsHedgePolicy, LinnOsPolicy};
 pub use simple::{Baseline, Hedging, RandomSelect};
@@ -111,7 +111,7 @@ pub trait Policy {
 
 /// Exponentially-weighted moving average helper used by the heuristics.
 #[derive(Debug, Clone, Copy)]
-pub struct Ewma {
+pub(crate) struct Ewma {
     value: f64,
     alpha: f64,
     initialized: bool,
@@ -143,7 +143,7 @@ impl Ewma {
     }
 
     /// Current estimate, or `default` before any observation.
-    pub fn get_or(&self, default: f64) -> f64 {
+    pub(crate) fn get_or(&self, default: f64) -> f64 {
         if self.initialized {
             self.value
         } else {

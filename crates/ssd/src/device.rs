@@ -15,39 +15,29 @@
 //! log is exposed *for evaluation only* (scoring labeling accuracy, Fig 5a).
 
 use crate::config::DeviceConfig;
-use crate::fault::{DeviceUnavailable, FaultKind, FaultPlan, FaultPlanError, FaultStats};
+use crate::fault::{DeviceUnavailable, FaultKind, FaultPlan, FaultStats};
 use crate::jitter;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why [`SsdDevice::try_new`] (or [`SsdDevice::try_new_with_plan`])
-/// rejected its inputs.
+/// Why [`SsdDevice::try_new`] rejected its configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeviceError {
     /// The [`DeviceConfig`] failed validation; the message names the field.
     InvalidConfig(String),
-    /// The fault script failed [`FaultPlan::try_new`] validation.
-    InvalidFaultPlan(FaultPlanError),
 }
 
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeviceError::InvalidConfig(msg) => write!(f, "invalid device config: {msg}"),
-            DeviceError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
         }
     }
 }
 
 impl std::error::Error for DeviceError {}
-
-impl From<FaultPlanError> for DeviceError {
-    fn from(e: FaultPlanError) -> Self {
-        DeviceError::InvalidFaultPlan(e)
-    }
-}
 
 /// Flat 4-ary min-heap of completion times. The replayers query
 /// [`SsdDevice::queue_len`] before every read, so this sits on the replay
@@ -246,18 +236,6 @@ impl SsdDevice {
         })
     }
 
-    /// Constructs a device and validates a raw fault script in one step —
-    /// the single entry point for configs *and* fault timelines sourced
-    /// from outside the crate (sweep CLIs, generated test inputs).
-    pub fn try_new_with_plan(
-        cfg: DeviceConfig,
-        seed: u64,
-        windows: Vec<crate::fault::FaultWindow>,
-    ) -> Result<Self, DeviceError> {
-        let plan = FaultPlan::try_new(windows)?;
-        Ok(Self::try_new(cfg, seed)?.with_fault_plan(plan))
-    }
-
     /// Attaches a scripted fault plan (builder form).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -267,11 +245,6 @@ impl SsdDevice {
     /// Attaches a scripted fault plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
-    }
-
-    /// The device's fault plan (empty for a healthy device).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Degradation counters accumulated from the fault plan.
@@ -290,7 +263,8 @@ impl SsdDevice {
 
     /// Earliest time at or after `now` when submissions are accepted
     /// (`now` itself for an available device).
-    pub fn next_available_at(&self, now: u64) -> u64 {
+    #[cfg(test)]
+    fn next_available_at(&self, now: u64) -> u64 {
         match self.faults.active_at(now) {
             Some(w) if w.kind == FaultKind::FailStop => w.end_us,
             _ => now,
@@ -325,7 +299,8 @@ impl SsdDevice {
     }
 
     /// Ground truth: was the device internally busy at `t`? **Evaluation only.**
-    pub fn was_busy_at(&self, t: u64) -> bool {
+    #[cfg(test)]
+    fn was_busy_at(&self, t: u64) -> bool {
         // The log is append-ordered by start; intervals may overlap after
         // merges, so scan backwards over the recent tail.
         self.busy_log
@@ -868,11 +843,8 @@ mod tests {
     fn try_new_returns_validation_error() {
         let mut cfg = DeviceConfig::datacenter_nvme();
         cfg.parallelism = 0;
-        let err = SsdDevice::try_new(cfg, 0).unwrap_err();
-        match &err {
-            DeviceError::InvalidConfig(msg) => assert!(msg.contains("parallelism"), "{msg}"),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
+        let DeviceError::InvalidConfig(msg) = SsdDevice::try_new(cfg, 0).unwrap_err();
+        assert!(msg.contains("parallelism"), "{msg}");
         assert!(SsdDevice::try_new(DeviceConfig::datacenter_nvme(), 0).is_ok());
         // Used to reach `Rng64::exponential`'s assert inside the fallible
         // constructor.
@@ -882,38 +854,6 @@ mod tests {
             SsdDevice::try_new(cfg, 0),
             Err(DeviceError::InvalidConfig(msg)) if msg.contains("wear_leveling_interval_us")
         ));
-    }
-
-    #[test]
-    fn try_new_with_plan_surfaces_fault_script_errors() {
-        use crate::fault::{FaultKind, FaultPlanError, FaultWindow};
-        let bad = vec![FaultWindow {
-            start_us: 10,
-            end_us: 10,
-            kind: FaultKind::FailStop,
-            multiplier: 1.0,
-        }];
-        let err =
-            SsdDevice::try_new_with_plan(DeviceConfig::datacenter_nvme(), 0, bad).unwrap_err();
-        assert_eq!(
-            err,
-            DeviceError::InvalidFaultPlan(FaultPlanError::ZeroLengthWindow {
-                start_us: 10,
-                end_us: 10
-            })
-        );
-        let ok = SsdDevice::try_new_with_plan(
-            DeviceConfig::datacenter_nvme(),
-            0,
-            vec![FaultWindow {
-                start_us: 0,
-                end_us: 100,
-                kind: FaultKind::FailSlow,
-                multiplier: 4.0,
-            }],
-        )
-        .unwrap();
-        assert!(!ok.fault_plan().is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// A discrete request-size mixture: `(size_bytes, weight)` pairs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SizeMix {
+pub(crate) struct SizeMix {
     entries: Vec<(u32, f64)>,
 }
 
@@ -38,7 +38,7 @@ impl SizeMix {
     }
 
     /// Small-I/O-dominated mixture (MSR-like).
-    pub fn small_dominated() -> Self {
+    pub(crate) fn small_dominated() -> Self {
         SizeMix::new(vec![
             (4 * 1024, 0.45),
             (8 * 1024, 0.25),
@@ -77,25 +77,11 @@ impl SizeMix {
         let weights: Vec<f64> = self.entries.iter().map(|e| e.1).collect();
         self.entries[rng.weighted_index(&weights)].0
     }
-
-    /// Multiplies every size by `factor`, clamping to `[PAGE_SIZE, MAX_IO_SIZE]`
-    /// and re-aligning to pages. Used by the resize augmentation.
-    pub fn scaled(&self, factor: f64) -> Self {
-        let entries = self
-            .entries
-            .iter()
-            .map(|&(s, w)| {
-                let scaled = ((s as f64 * factor) as u32).clamp(PAGE_SIZE, MAX_IO_SIZE);
-                (scaled / PAGE_SIZE * PAGE_SIZE, w)
-            })
-            .collect();
-        SizeMix::new(entries)
-    }
 }
 
 /// Full parametric description of a synthetic workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkloadSpec {
+pub(crate) struct WorkloadSpec {
     /// Trace length in microseconds.
     pub duration_us: u64,
     /// Mean request rate during normal (non-burst) operation, in IOPS.
@@ -171,7 +157,8 @@ impl WorkloadSpec {
     }
 }
 
-/// Builder API over [`WorkloadSpec`] plus a seed.
+/// Builder API over a workload spec (arrival process, size mix, locality)
+/// plus a seed.
 ///
 /// # Examples
 ///
@@ -203,15 +190,6 @@ impl TraceBuilder {
         }
     }
 
-    /// Starts from an explicit spec.
-    pub fn from_spec(spec: WorkloadSpec) -> Self {
-        Self {
-            spec,
-            seed: 0,
-            name: "custom".to_string(),
-        }
-    }
-
     /// Sets the deterministic seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -240,11 +218,6 @@ impl TraceBuilder {
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
-    }
-
-    /// Accesses the underlying spec for fine-grained tweaks.
-    pub fn spec_mut(&mut self) -> &mut WorkloadSpec {
-        &mut self.spec
     }
 
     /// Generates the trace.
@@ -315,15 +288,6 @@ impl TraceBuilder {
         }
         Trace::new(self.name, requests)
     }
-}
-
-/// Convenience: builds one capped, seeded trace per the paper's 3-minute
-/// experiment methodology (§6.1).
-pub fn experiment_trace(profile: WorkloadProfile, seed: u64, secs: u64) -> Trace {
-    TraceBuilder::from_profile(profile)
-        .seed(seed)
-        .duration_secs(secs)
-        .build()
 }
 
 #[cfg(test)]
@@ -421,16 +385,6 @@ mod tests {
         let got = t.len() as f64 / 10.0;
         // Bursts push the average above base; allow a broad band.
         assert!(got > 700.0 && got < 3_000.0, "iops {got}");
-    }
-
-    #[test]
-    fn size_mix_scaling_clamps() {
-        let m = SizeMix::wide().scaled(4.0);
-        let mut rng = Rng64::new(8);
-        for _ in 0..1000 {
-            let s = m.sample(&mut rng);
-            assert!(s <= MAX_IO_SIZE && s.is_multiple_of(PAGE_SIZE));
-        }
     }
 
     #[test]

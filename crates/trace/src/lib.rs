@@ -12,11 +12,11 @@
 //! - configurable read/write mixes, including the write-heavy Tencent-like
 //!   profile used by the paper's long-term retraining study (§7).
 //!
-//! It also implements the paper's trace tooling (§6.1): slicing long traces
-//! into windows, ranking windows by five criteria (read/write ratio, size,
-//! IOPS, randomness, overall), percentile-based window selection, the five
-//! data-augmentation functions (0.1×/0.5×/2× rerate, 2×/4× resize), and the
-//! light/heavy workload classification.
+//! It also implements the five data-augmentation functions of the paper's
+//! trace tooling (§6.1): 0.1×/0.5×/2× rerate and 2×/4× resize. The paper's
+//! other tool, percentile-criteria window selection over multi-day traces,
+//! has no input here until a real-trace workload lands; its last version is
+//! `trace::select` at commit `83683ca`.
 //!
 //! # Examples
 //!
@@ -34,8 +34,6 @@ pub mod augment;
 pub mod gen;
 pub mod io;
 pub mod rng;
-pub mod select;
-pub mod stats;
 
 use serde::{Deserialize, Serialize};
 
@@ -162,12 +160,6 @@ impl Trace {
             self.requests.first().map_or(0, |r| r.arrival_us) + cap_us,
         )
     }
-
-    /// The paper classifies a trace as *light* when it has fewer than 300k
-    /// I/Os (§6.1); heavier traces are candidates to shed load from.
-    pub fn is_light(&self) -> bool {
-        self.requests.len() < 300_000
-    }
 }
 
 /// Named workload families approximating the paper's trace sources.
@@ -200,6 +192,9 @@ impl WorkloadProfile {
         }
     }
 }
+
+#[cfg(test)]
+mod stats;
 
 #[cfg(test)]
 mod tests {
@@ -241,12 +236,6 @@ mod tests {
         let t = Trace::new("t", vec![req(0, 0), req(1, 10), req(2, 1_000_000)]);
         let c = t.capped(100);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn light_threshold_matches_paper() {
-        let t = Trace::new("t", vec![req(0, 0)]);
-        assert!(t.is_light());
     }
 
     #[test]

@@ -120,15 +120,10 @@ impl Rng64 {
         self.normal(mu, sigma).exp()
     }
 
-    /// Pareto (heavy-tailed) draw with scale `xm > 0` and shape `alpha > 0`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        xm / (1.0 - self.f64()).powf(1.0 / alpha)
-    }
-
     /// Zipf-like rank draw over `[0, n)` with skew `theta in (0, 1)`
     /// using the classic YCSB-style approximation (cheap, adequate for
     /// workload locality). Higher `theta` means more skew.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
+    pub(crate) fn zipf(&mut self, n: u64, theta: f64) -> u64 {
         debug_assert!(n > 0);
         let u = self.f64();
         // Map a uniform draw through a power law; exact Zipf is unnecessary
@@ -159,7 +154,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
+    pub(crate) fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must have positive sum");
         let mut x = self.f64() * total;

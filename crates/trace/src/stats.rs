@@ -1,15 +1,14 @@
-//! Per-trace and per-window workload statistics.
-//!
-//! These are the five selection criteria the paper uses to pick
-//! representative windows out of multi-day traces (§6.1): read/write ratio,
-//! request size, IOPS, randomness, and an overall ranking combining them.
+//! Per-trace workload statistics (test-only): the generator calibration
+//! tests measure their output with these. They are four of the paper's
+//! five window-selection criteria (§6.1): read/write ratio, request size,
+//! IOPS and randomness.
 
 use crate::{IoRequest, Trace};
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a trace or trace window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceStats {
+pub(crate) struct TraceStats {
     /// Number of requests.
     pub count: usize,
     /// Fraction of reads in `[0, 1]`.
@@ -29,12 +28,12 @@ pub struct TraceStats {
 
 impl TraceStats {
     /// Computes statistics over a trace.
-    pub fn compute(trace: &Trace) -> TraceStats {
+    pub(crate) fn compute(trace: &Trace) -> TraceStats {
         Self::compute_slice(&trace.requests)
     }
 
     /// Computes statistics over a raw request slice (must be arrival-sorted).
-    pub fn compute_slice(reqs: &[IoRequest]) -> TraceStats {
+    pub(crate) fn compute_slice(reqs: &[IoRequest]) -> TraceStats {
         if reqs.is_empty() {
             return TraceStats {
                 count: 0,
@@ -74,15 +73,6 @@ impl TraceStats {
             randomness,
             duration_us,
             total_bytes,
-        }
-    }
-
-    /// Mean throughput demanded by the trace, bytes/second.
-    pub fn mean_bandwidth(&self) -> f64 {
-        if self.duration_us == 0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / (self.duration_us as f64 / 1e6)
         }
     }
 }
@@ -156,15 +146,5 @@ mod tests {
             .collect();
         let s = TraceStats::compute_slice(&reqs);
         assert_eq!(s.randomness, 1.0);
-    }
-
-    #[test]
-    fn bandwidth_matches_bytes_over_time() {
-        let reqs = vec![
-            mk(0, 0, 0, PAGE_SIZE, IoOp::Read),
-            mk(1, 1_000_000, 0, PAGE_SIZE, IoOp::Read),
-        ];
-        let s = TraceStats::compute_slice(&reqs);
-        assert!((s.mean_bandwidth() - 2.0 * PAGE_SIZE as f64).abs() < 1e-9);
     }
 }

@@ -1,5 +1,5 @@
-//! `heimdall-proptest`: an in-tree, dependency-free property-testing
-//! engine.
+//! `heimdall_integration::prop`: an in-tree, dependency-free
+//! property-testing engine.
 //!
 //! The build environment has no crates.io access, so `proptest` and
 //! `quickcheck` are off the table; this module provides the pieces the
@@ -7,7 +7,8 @@
 //! nothing more:
 //!
 //! - **Seeded generation** ([`gen`]): a [`Strategy`] produces a value from
-//!   the workspace's deterministic [`Rng64`]. Combinators cover scalars,
+//!   the workspace's deterministic
+//!   [`Rng64`](heimdall_trace::rng::Rng64). Combinators cover scalars,
 //!   floats, vectors, and tuples; domain-specific generators compose them
 //!   or implement [`Strategy`] directly.
 //! - **Integrated shrinking**: every built-in strategy knows how to

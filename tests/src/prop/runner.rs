@@ -159,6 +159,17 @@ pub fn falsify<S: Strategy>(
     None
 }
 
+/// The command that replays case `seed` of property `name`. It names the
+/// package whose tests are running (Cargo sets `CARGO_PKG_NAME` for each
+/// test process), so a property that lives inside a library crate's unit
+/// tests is replayed there; with `package` unset, `-p` is omitted.
+fn reproduce_command(package: Option<&str>, seed: u64, name: &str) -> String {
+    match package {
+        Some(pkg) => format!("HEIMDALL_PROP_SEED={seed:#x} cargo test -p {pkg} {name}"),
+        None => format!("HEIMDALL_PROP_SEED={seed:#x} cargo test {name}"),
+    }
+}
+
 /// [`falsify`], panicking with a reproducible report on failure. `name`
 /// should be the `#[test]` function name so the printed reproduction
 /// command filters to exactly that property.
@@ -174,16 +185,18 @@ pub fn check<S: Strategy>(
     prop: impl Fn(&S::Value) -> Result<(), String>,
 ) {
     if let Some(cx) = falsify(cfg, strategy, prop) {
+        let package = std::env::var("CARGO_PKG_NAME").ok();
         panic!(
             "property '{name}' falsified\n\
              \x20 case       : {case}\n\
              \x20 case seed  : {seed:#018x}\n\
-             \x20 reproduce  : HEIMDALL_PROP_SEED={seed:#x} cargo test -p heimdall-integration {name}\n\
+             \x20 reproduce  : {reproduce}\n\
              \x20 original   : {original:?}\n\
              \x20 minimal    : {minimal:?} (after {steps} shrink steps)\n\
              \x20 failure    : {message}",
             case = cx.case,
             seed = cx.case_seed,
+            reproduce = reproduce_command(package.as_deref(), cx.case_seed, name),
             original = cx.original,
             minimal = cx.minimal,
             steps = cx.shrink_steps,
@@ -278,6 +291,46 @@ mod self_tests {
         uniq.dedup();
         assert_eq!(uniq.len(), a.len());
         assert_ne!(case_seed(9, 0), case_seed(10, 0));
+    }
+
+    /// The failure report's reproduce command runs the package whose tests
+    /// are running, not a fixed one: a property inside another crate's unit
+    /// tests must replay there, or the filter matches nothing and passes.
+    #[test]
+    fn report_names_the_running_package() {
+        let running = std::env::var("CARGO_PKG_NAME").ok();
+        if let Some(pkg) = &running {
+            assert_eq!(
+                pkg,
+                env!("CARGO_PKG_NAME"),
+                "cargo names this test's package"
+            );
+        }
+        let report = std::panic::catch_unwind(|| {
+            check(
+                "planted_always_fails",
+                &Config::seeded(5),
+                &u64_in(0..=9),
+                |_| Err("always fails".into()),
+            )
+        })
+        .expect_err("an always-failing property panics");
+        let report = report
+            .downcast_ref::<String>()
+            .expect("the report is a formatted String");
+        let want = match &running {
+            Some(pkg) => format!("cargo test -p {pkg} planted_always_fails\n"),
+            None => "cargo test planted_always_fails\n".to_string(),
+        };
+        assert!(report.contains(&want), "{report}");
+        assert_eq!(
+            reproduce_command(Some("heimdall-ssd"), 0x2a, "prop_x"),
+            "HEIMDALL_PROP_SEED=0x2a cargo test -p heimdall-ssd prop_x"
+        );
+        assert_eq!(
+            reproduce_command(None, 0x2a, "prop_x"),
+            "HEIMDALL_PROP_SEED=0x2a cargo test prop_x"
+        );
     }
 
     /// The shrink budget is honored: a pathological always-failing
