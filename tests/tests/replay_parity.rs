@@ -14,12 +14,15 @@ use heimdall_bench::sweep::replay_json;
 use heimdall_cluster::replayer::{
     merge_homed, merge_homed_reference, replay_homed, replay_homed_reference, HomedRequest,
 };
-use heimdall_cluster::EventQueue;
-use heimdall_core::pipeline::{PipelineConfig, Trained};
+use heimdall_cluster::{run_wide, run_wide_reference, EventQueue, WideConfig, WidePolicy};
+use heimdall_core::collect::submit_one;
+use heimdall_core::pipeline::{run_batch, PipelineConfig, Trained};
+use heimdall_core::RecordBatch;
 use heimdall_integration::gen::{homed_traces as traces, rendered, replay_devices as devices};
 use heimdall_policies::{Baseline, Hedging, HeimdallPolicy, Policy};
+use heimdall_ssd::SsdDevice;
 use heimdall_trace::rng::Rng64;
-use heimdall_trace::Trace;
+use heimdall_trace::{IoOp, IoRequest, Trace, PAGE_SIZE};
 
 /// Replays the same homed stream through both engines on identically
 /// seeded devices and asserts byte-identical rendered output.
@@ -98,6 +101,78 @@ fn replay_engines_are_byte_identical_for_ml_policies() {
             HeimdallPolicy::new(models()),
             HeimdallPolicy::new(models()),
             &format!("seed {seed}, heimdall"),
+        );
+    }
+}
+
+/// One OSD model trained on OSD 0's share of `cfg`'s load (its client
+/// reads plus 1 MB injector writes), the profile `fig13_wide_scale` trains
+/// each OSD on.
+fn wide_osd_model(cfg: &WideConfig) -> Trained {
+    let mut rng = Rng64::new(cfg.seed ^ 0x006f_7364);
+    let mut dev = SsdDevice::new(cfg.device.clone(), cfg.seed);
+    let mut log = RecordBatch::new();
+    let sizes = [PAGE_SIZE, 16 * 1024, 64 * 1024, 256 * 1024];
+    let read_gap = (1e6
+        / (cfg.clients as f64 * cfg.client_rate * cfg.scaling_factor as f64 / cfg.osds() as f64))
+        .max(20.0);
+    let (mut t, mut id) = (0u64, 0u64);
+    while t < cfg.duration_us {
+        t += rng.exponential(read_gap) as u64 + 1;
+        let op = if rng.chance(0.25) {
+            IoOp::Write
+        } else {
+            IoOp::Read
+        };
+        let size = if op == IoOp::Write {
+            cfg.noise_size
+        } else {
+            sizes[rng.below(4) as usize]
+        };
+        let req = IoRequest {
+            id,
+            arrival_us: t,
+            offset: id * 4096,
+            size,
+            op,
+        };
+        id += 1;
+        log.push(submit_one(&req, &mut dev));
+    }
+    let mut pcfg = PipelineConfig::heimdall();
+    pcfg.seed = cfg.seed;
+    run_batch(&log, &pcfg).expect("OSD profile trains").0
+}
+
+/// The wide engine against its seed twin with trained OSD models that
+/// really decline: admitter feedback, the probe rule and the reroutes it
+/// drives must be the reference's, request for request and sub-read for
+/// sub-read, at three seeds and scaling factors.
+#[test]
+fn wide_engine_matches_reference_with_declining_models() {
+    for (seed, sf) in [(11u64, 10usize), (3, 4), (7, 1)] {
+        let cfg = WideConfig {
+            scaling_factor: sf,
+            duration_us: 3_000_000,
+            seed,
+            ..Default::default()
+        };
+        let model = wide_osd_model(&cfg);
+        let policy = || WidePolicy::Heimdall(vec![model.clone(); cfg.osds()]);
+        let new = run_wide(&cfg, policy());
+        let reference = run_wide_reference(&cfg, policy());
+        let what = format!("seed {seed}, SF {sf}");
+        assert!(new.rerouted > 0, "the models must decline: {what}");
+        assert_eq!(new.rerouted, reference.rerouted, "reroutes: {what}");
+        assert_eq!(
+            new.requests.samples(),
+            reference.requests.samples(),
+            "request latencies: {what}"
+        );
+        assert_eq!(
+            new.sub_reads.samples(),
+            reference.sub_reads.samples(),
+            "sub-read latencies: {what}"
         );
     }
 }
