@@ -11,9 +11,12 @@
 //! random load balancing, and Heimdall (per-OSD admission models; a
 //! declined sub-read goes to the secondary, which admits by default).
 //!
-//! The hot path runs on the flat 4-ary [`EventQueue`]; completion events
-//! exist only to feed the admitters, so stateless policies (baseline,
-//! random) skip completion scheduling entirely. The seed engine is kept as
+//! Completion events exist only to feed the admitters, so stateless
+//! policies (baseline, random) schedule none. Under Heimdall each OSD keeps
+//! its own completions on a flat 4-ary [`EventQueue`] and applies them
+//! lazily: an OSD's admitter and decline streak are read only when that OSD
+//! decides, so they are brought up to date then, and the engine's one
+//! global queue holds only backoff retries. The seed engine is kept as
 //! [`run_wide_reference`] for differential testing.
 
 use crate::backoff::retry_delay_us;
@@ -165,12 +168,18 @@ fn build_arrivals(cfg: &WideConfig, rng: &mut Rng64) -> Vec<(u64, Source, usize)
     arrivals
 }
 
+/// Probe rule (same as the single-node policies): a long streak of declines
+/// with no fresh completion from an OSD forces one probe admit, so a stale
+/// history cannot decline forever.
+const PROBE_AFTER: u32 = 8;
+
 /// Runs one wide-scale experiment.
 ///
 /// # Panics
 ///
-/// Panics on a degenerate configuration (zero nodes/clients/SF) or when a
-/// Heimdall policy supplies the wrong number of models.
+/// Panics on a degenerate configuration (zero nodes/clients/SF), when a
+/// Heimdall policy supplies the wrong number of models, or when one of them
+/// is joint-trained (sub-reads are decided one at a time).
 pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     assert!(
         cfg.nodes > 0 && cfg.osds_per_node > 0,
@@ -184,6 +193,10 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     assert!(n_osds >= 2, "need at least two OSDs for replication");
     if let WidePolicy::Heimdall(models) = &policy {
         assert_eq!(models.len(), n_osds, "one model per OSD required");
+        assert!(
+            models.iter().all(|m| m.joint <= 1),
+            "run_wide needs per-I/O models: a joint-trained model cannot decide one sub-read"
+        );
     }
 
     let mut rng = Rng64::new(cfg.seed ^ 0x7769_6465);
@@ -193,29 +206,32 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     for (osd, plan) in osds.iter_mut().zip(&cfg.fault_plans) {
         osd.set_fault_plan(plan.clone());
     }
-    // Probe rule (same as the single-node policies): a long streak of
-    // declines with no fresh completion from an OSD forces one probe
-    // admit, so a stale history cannot decline forever.
-    const PROBE_AFTER: u32 = 8;
 
     // Pre-generate the merged arrival schedule.
     let arrivals = build_arrivals(cfg, &mut rng);
 
     let client_reqs = arrivals.iter().filter(|a| a.1 == Source::Client).count();
+    let name = policy.name();
+    let random = matches!(policy, WidePolicy::Random);
     let mut eng = WideEngine {
         osds,
-        admitters: match &policy {
-            WidePolicy::Heimdall(models) => {
-                Some(models.iter().cloned().map(OnlineAdmitter::new).collect())
-            }
+        admission: match policy {
+            WidePolicy::Heimdall(models) => Some(
+                models
+                    .into_iter()
+                    .map(|model| OsdAdmission {
+                        admitter: OnlineAdmitter::new(model),
+                        pending: EventQueue::new(),
+                        declines: 0,
+                    })
+                    .collect(),
+            ),
             _ => None,
         },
-        declines: vec![0u32; n_osds],
-        pending: EventQueue::with_capacity(64),
         retryq: EventQueue::new(),
         open: Vec::new(),
         result: WideResult {
-            policy: policy.name().to_string(),
+            policy: name.to_string(),
             requests: LatencyRecorder::with_capacity(client_reqs),
             sub_reads: LatencyRecorder::with_capacity(client_reqs * cfg.scaling_factor),
             rerouted: 0,
@@ -228,9 +244,6 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
     // Per-request scratch, reused across arrivals so the admission hot path
     // does not allocate.
     let mut members: Vec<SubRead> = Vec::new();
-    let mut order: Vec<usize> = Vec::new();
-    let mut sizes: Vec<u32> = Vec::new();
-    let mut raws: Vec<bool> = Vec::new();
     let mut deferred: Vec<SubRead> = Vec::new();
 
     for (now, source, idx) in arrivals {
@@ -252,7 +265,7 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                 };
                 eng.next_id += 1;
                 // A noise write into an outage window is simply lost.
-                if eng.admitters.is_some() {
+                if eng.admission.is_some() {
                     let _ = eng.osds[osd].try_submit(&req, now);
                 } else {
                     let _ = eng.osds[osd].try_submit_untracked(&req, now);
@@ -261,19 +274,18 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
             Source::Client => {
                 // One end-user request: SF parallel sub-reads. Placement
                 // (and the random balancer's coin) is drawn for every
-                // member first; Heimdall then decides each primary OSD's
-                // members in one sweep of the batched quantized engine at
-                // the request's arrival-time queue snapshot — the sub-reads
-                // are issued in parallel, so they all see the same queue.
-                let sf = cfg.scaling_factor;
+                // member first; Heimdall then decides the members in order,
+                // each at its primary's arrival-time queue length — nothing
+                // is submitted until all are decided, since the sub-reads
+                // are issued in parallel and see the same queues.
                 members.clear();
-                for _ in 0..sf {
+                for _ in 0..cfg.scaling_factor {
                     let object = rng.next_u64();
                     let primary = (object % n_osds as u64) as usize;
                     // Secondary on a different node.
                     let secondary = (primary + n_osds / 2) % n_osds;
                     let size = sub_sizes[(object >> 32) as usize % sub_sizes.len()];
-                    let coin = matches!(policy, WidePolicy::Random) && !rng.chance(0.5);
+                    let coin = random && !rng.chance(0.5);
                     members.push(SubRead {
                         primary,
                         secondary,
@@ -282,40 +294,10 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                         decline: coin,
                     });
                 }
-                if let Some(adm) = eng.admitters.as_mut() {
-                    // Batch member decisions per primary OSD: stable-sort
-                    // member indices by home so each OSD's group is scored
-                    // in a single weight-matrix sweep.
-                    order.clear();
-                    order.extend(0..sf);
-                    order.sort_by_key(|&i| members[i].primary);
-                    let mut k = 0;
-                    while k < order.len() {
-                        let osd = members[order[k]].primary;
-                        let j = k + order[k..]
-                            .iter()
-                            .take_while(|&&i| members[i].primary == osd)
-                            .count();
-                        sizes.clear();
-                        sizes.extend(order[k..j].iter().map(|&i| members[i].size));
-                        raws.clear();
-                        let qlen = eng.osds[osd].queue_len(now);
-                        adm[osd].decide_members(qlen, &sizes, &mut raws);
-                        for (&i, &raw) in order[k..j].iter().zip(&raws) {
-                            members[i].decline = raw;
-                        }
-                        k = j;
-                    }
-                    // Probe rule in member order (same streak evolution as
-                    // per-member admission): admit on a "fast" verdict, or
-                    // probe after too many consecutive declines.
+                if let Some(adm) = eng.admission.as_mut() {
                     for m in members.iter_mut() {
-                        if !m.decline || eng.declines[m.primary] >= PROBE_AFTER {
-                            eng.declines[m.primary] = 0;
-                            m.decline = false;
-                        } else {
-                            eng.declines[m.primary] += 1;
-                        }
+                        let qlen = eng.osds[m.primary].queue_len(now);
+                        m.decline = adm[m.primary].decide(qlen, m.size, now);
                     }
                 }
                 let mut max_finish = now;
@@ -371,11 +353,10 @@ struct SubRead {
     decline: bool,
 }
 
-/// Deferred sub-read completion payload for the new engine; ordering lives
-/// in the [`EventQueue`] keys.
+/// Deferred sub-read completion payload for the new engine; the OSD is the
+/// queue it waits on and ordering lives in the [`EventQueue`] keys.
 #[derive(Debug, Clone, Copy)]
 struct WideCompletion {
-    osd: usize,
     queue_len: u32,
     latency_us: u64,
     size: u32,
@@ -402,21 +383,55 @@ struct OpenRequest {
     max_finish: u64,
 }
 
+/// One OSD's Heimdall admission state. Only this OSD's decisions read it,
+/// so its completions wait on `pending` until the next decision applies
+/// those due by then.
+struct OsdAdmission {
+    admitter: OnlineAdmitter,
+    /// Completions not yet fed to `admitter`, keyed by finish time.
+    pending: EventQueue<WideCompletion>,
+    /// Consecutive declines since the last completion fed.
+    declines: u32,
+}
+
+impl OsdAdmission {
+    /// Applies the completions due at or before `now`, in (finish, push)
+    /// order; fresh evidence ends the decline streak.
+    fn feed(&mut self, now: u64) {
+        while self.pending.next_at().is_some_and(|at| at <= now) {
+            let (_, c) = self.pending.pop().expect("peeked");
+            self.admitter
+                .on_completion(c.latency_us, c.queue_len, c.size);
+            self.declines = 0;
+        }
+    }
+
+    /// Decides a `size`-byte sub-read arriving at `now` on an OSD holding
+    /// `queue_len` requests: `true` = decline. The model's "slow" verdict
+    /// declines unless the streak has reached [`PROBE_AFTER`], which forces
+    /// a probe admit.
+    fn decide(&mut self, queue_len: u32, size: u32, now: u64) -> bool {
+        self.feed(now);
+        if !self.admitter.decide(queue_len, size) || self.declines >= PROBE_AFTER {
+            self.declines = 0;
+            false
+        } else {
+            self.declines += 1;
+            true
+        }
+    }
+}
+
 /// One wide-scale run in flight. A sub-read reaches an OSD the same way
 /// whether it is arriving or retrying after a backoff: [`WideEngine::place`]
 /// picks the live member of its replica pair, [`WideEngine::submit_sub`]
-/// hands it over and schedules the admitter update.
+/// hands it over and queues its completion for the OSD's admitter.
 struct WideEngine {
     osds: Vec<SsdDevice>,
-    /// Per-OSD admitters (Heimdall only). Completions exist only to feed
-    /// them, so without them nothing is ever scheduled on `pending`
-    /// (delivery would be a no-op) and submissions skip queue-length
-    /// tracking (nothing ever observes it).
-    admitters: Option<Vec<OnlineAdmitter>>,
-    /// Consecutive declines per OSD since its last completion.
-    declines: Vec<u32>,
-    /// Deferred admitter completion notifications, honoring causality.
-    pending: EventQueue<WideCompletion>,
+    /// Per-OSD admission state (Heimdall only). Completions exist only to
+    /// feed it, so without it none is queued and submissions skip
+    /// queue-length tracking (nothing ever observes it).
+    admission: Option<Vec<OsdAdmission>>,
     // Degraded-mode bookkeeping: sub-reads that found both replicas inside
     // a fail-stop outage wait on `retryq` for a backoff retry, and their
     // end-user request stays in `open` until the last deferred member
@@ -457,25 +472,23 @@ impl WideEngine {
         if target != m.primary {
             self.result.rerouted += 1;
         }
-        let done = if self.admitters.is_some() {
-            self.osds[target].submit(&req, at)
-        } else {
-            self.osds[target].submit_untracked(&req, at)
+        let done = match self.admission.as_mut() {
+            Some(adm) => {
+                let done = self.osds[target].submit(&req, at);
+                adm[target].pending.push(
+                    done.finish_us,
+                    WideCompletion {
+                        queue_len: done.queue_len,
+                        latency_us: done.latency_us,
+                        size: m.size,
+                    },
+                );
+                done
+            }
+            None => self.osds[target].submit_untracked(&req, at),
         };
         // Latency spans the full wait since the end-user arrival.
         self.result.sub_reads.record(done.finish_us - arrival_us);
-        // Schedule the admitter update at completion time.
-        if self.admitters.is_some() {
-            self.pending.push(
-                done.finish_us,
-                WideCompletion {
-                    osd: target,
-                    queue_len: done.queue_len,
-                    latency_us: done.latency_us,
-                    size: m.size,
-                },
-            );
-        }
         done.finish_us
     }
 
@@ -512,35 +525,19 @@ impl WideEngine {
         }
     }
 
-    /// Delivers completions and fires backoff retries due at or before
-    /// `now`, merged in time order (completions first on ties, so fresh
-    /// admitter evidence lands before a retry submits).
+    /// Fires the backoff retries due at or before `now`, in time order.
+    /// Retries never consult an admitter, so completions wait for their
+    /// OSD's next decision ([`OsdAdmission::feed`]).
     fn drain(&mut self, now: u64) {
-        loop {
-            let (is_retry, at) = match (self.pending.next_at(), self.retryq.next_at()) {
-                (Some(c), Some(r)) if r < c => (true, r),
-                (Some(c), _) => (false, c),
-                (None, Some(r)) => (true, r),
-                (None, None) => return,
-            };
-            if at > now {
-                return;
-            }
-            if is_retry {
-                let (_, r) = self.retryq.pop().expect("peeked");
-                // A retry forgets the arrival's decline: primary first.
-                match self.place(r.sub.primary, r.sub.secondary, at) {
-                    Some(t) => {
-                        let finish = self.submit_sub(&r.sub, t, r.arrival_us, at);
-                        self.close_member(r.slot, finish);
-                    }
-                    None => self.back_off(r, at),
+        while let Some(at) = self.retryq.next_at().filter(|&at| at <= now) {
+            let (_, r) = self.retryq.pop().expect("peeked");
+            // A retry forgets the arrival's decline: primary first.
+            match self.place(r.sub.primary, r.sub.secondary, at) {
+                Some(t) => {
+                    let finish = self.submit_sub(&r.sub, t, r.arrival_us, at);
+                    self.close_member(r.slot, finish);
                 }
-            } else {
-                let (_, ev) = self.pending.pop().expect("peeked");
-                let adm = self.admitters.as_mut().expect("tracking implies admitters");
-                adm[ev.osd].on_completion(ev.latency_us, ev.queue_len, ev.size);
-                self.declines[ev.osd] = 0;
+                None => self.back_off(r, at),
             }
         }
     }
@@ -623,7 +620,6 @@ pub fn run_wide_reference(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
         }
         _ => None,
     };
-    const PROBE_AFTER: u32 = 8;
     let mut declines = vec![0u32; n_osds];
 
     let arrivals = build_arrivals(cfg, &mut rng);
@@ -809,6 +805,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "run_wide needs per-I/O models")]
+    fn heimdall_joint_models_rejected() {
+        let cfg = quick_cfg();
+        let mut pcfg = heimdall_core::pipeline::PipelineConfig::heimdall();
+        pcfg.joint = 4;
+        let models = vec![heimdall_core::pipeline::Trained::always_admit(&pcfg); cfg.osds()];
+        run_wide(&cfg, WidePolicy::Heimdall(models));
+    }
+
+    #[test]
     fn heimdall_policy_runs_wide_scale() {
         let cfg = quick_cfg();
         // Always-admit models exercise the full per-OSD admitter path
@@ -823,8 +829,9 @@ mod tests {
 
     #[test]
     fn heimdall_grouped_admission_is_deterministic() {
-        // SF > 1 exercises the per-OSD grouped decide_members path; two
-        // runs must agree sample for sample.
+        // SF > 1 puts several members on one OSD per request, each
+        // decided after the one before; two runs must agree sample for
+        // sample.
         let mut cfg = quick_cfg();
         cfg.scaling_factor = 6;
         let pcfg = heimdall_core::pipeline::PipelineConfig::heimdall();
