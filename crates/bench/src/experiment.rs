@@ -8,7 +8,6 @@ use heimdall_cluster::train::{fresh_devices_with_plans, train_homed};
 use heimdall_core::pipeline::{PipelineConfig, PipelineError, Trained};
 use heimdall_policies::{Ams, Baseline, FallbackPolicy, Hedging, Heron, Policy, RandomSelect, C3};
 use heimdall_ssd::{DeviceConfig, FaultPlan};
-use heimdall_trace::augment::{augmented_pool, Augmentation};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{Trace, WorkloadProfile};
@@ -386,34 +385,6 @@ pub fn light_heavy_pair(seed: u64, secs: u64) -> (Trace, Trace) {
     (heavy, light)
 }
 
-/// Builds a pool of experiment traces the way §6.1 does: windows from each
-/// profile family, augmented with the paper's five functions, then randomly
-/// sampled. Per-profile generation fans out over `jobs` workers; the
-/// profile seeds are drawn serially first, so the pool matches the serial
-/// result exactly.
-pub fn default_trace_pool(count: usize, secs: u64, seed: u64, jobs: usize) -> Vec<Trace> {
-    let mut rng = Rng64::new(seed ^ 0x706f_6f6c);
-    let seeded: Vec<(WorkloadProfile, u64)> = WorkloadProfile::ALL
-        .iter()
-        .map(|&p| (p, rng.next_u64()))
-        .collect();
-    let pool: Vec<Trace> = run_ordered(jobs, seeded, |&(profile, s)| {
-        let base = TraceBuilder::from_profile(profile)
-            .seed(s)
-            .duration_secs(secs)
-            .build();
-        augmented_pool(&base, &Augmentation::PAPER_SET)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut picks = Vec::with_capacity(count);
-    for _ in 0..count {
-        picks.push(pool[rng.below(pool.len() as u64) as usize].clone());
-    }
-    picks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,20 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_pool_has_requested_size() {
-        let pool = default_trace_pool(7, 5, 6, 1);
-        assert_eq!(pool.len(), 7);
-        assert!(pool.iter().all(|t| !t.is_empty()));
-    }
-
-    #[test]
     fn pools_are_identical_across_worker_counts() {
-        let serial = default_trace_pool(4, 3, 11, 1);
-        let parallel = default_trace_pool(4, 3, 11, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.requests, b.requests);
-        }
         let rs = record_pool(3, 3, 11, 1);
         let rp = record_pool(3, 3, 11, 4);
         assert_eq!(rs, rp);

@@ -17,8 +17,8 @@ pub mod table;
 pub mod timing;
 
 pub use experiment::{
-    collect_records, default_trace_pool, light_heavy_pair, record_pool, run_policies,
-    ExperimentSetup, PolicyKind, PolicyRun,
+    collect_records, light_heavy_pair, record_pool, run_policies, ExperimentSetup, PolicyKind,
+    PolicyRun,
 };
 pub use fault::{fault_sweep, FaultScenario};
 pub use report::{Json, RunReport};

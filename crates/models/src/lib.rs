@@ -37,10 +37,10 @@ pub use automl::{AutoMl, AutoMlConfig, AutoMlResult, CandidateReport, Family};
 pub(crate) use bayes::{BernoulliNb, GaussianNb, MultinomialNb};
 pub use ensemble::{AdaBoost, ExtraTrees, GradientBoosting, RandomForest};
 pub use knn::KNearestNeighbors;
+pub use linear::LogisticRegression;
 pub(crate) use linear::{
     LinearDiscriminant, LinearSvm, PassiveAggressive, QuadraticDiscriminant, SgdClassifier,
 };
-pub use linear::{LogisticRegression, Perceptron};
 pub use svm::RbfSvc;
 pub use tree::{SplitMode, Tree, TreeParams, TreeTask};
 pub(crate) use zoo::DecisionTreeClassifier;
@@ -109,8 +109,8 @@ pub(crate) const DESCRIPTOR_LEN: usize = 32;
 /// Pads/truncates a descriptor to the workspace-standard
 /// [`DESCRIPTOR_LEN`] slots so cosine similarity is well-defined across
 /// families: slots 0-15 one-hot the family (ids follow the
-/// [`automl::Family::ALL`] row order; the non-AutoML wrappers Perceptron,
-/// LogisticRegression, and RnnWrapper reuse their nearest family's slot),
+/// [`automl::Family::ALL`] row order; the non-AutoML wrappers
+/// LogisticRegression and RnnWrapper reuse their nearest family's slot),
 /// slots 16-31 carry hyperparameters.
 ///
 /// # Panics

@@ -85,66 +85,6 @@ impl Classifier for LogisticRegression {
     }
 }
 
-/// Classic perceptron with margin-free updates; outputs a squashed margin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Perceptron {
-    /// Epochs.
-    pub epochs: usize,
-    w: Vec<f32>,
-    b: f32,
-}
-
-impl Default for Perceptron {
-    fn default() -> Self {
-        Perceptron {
-            epochs: 10,
-            w: Vec::new(),
-            b: 0.0,
-        }
-    }
-}
-
-impl Classifier for Perceptron {
-    fn name(&self) -> &'static str {
-        "Perceptron"
-    }
-
-    fn fit(&mut self, data: &Dataset) {
-        assert!(!data.is_empty(), "empty dataset");
-        self.w = vec![0.0; data.dim];
-        self.b = 0.0;
-        let mut order: Vec<usize> = (0..data.rows()).collect();
-        let mut rng = Rng64::new(0x7063);
-        for _ in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for &i in &order {
-                let x = data.row(i);
-                let y = if data.y[i] >= 0.5 { 1.0 } else { -1.0 };
-                if y * (dot(&self.w, x) + self.b) <= 0.0 {
-                    for (w, &xv) in self.w.iter_mut().zip(x) {
-                        *w += y * xv;
-                    }
-                    self.b += y;
-                }
-            }
-        }
-    }
-
-    fn predict(&self, x: &[f32]) -> f32 {
-        sigmoid(dot(&self.w, x) + self.b)
-    }
-
-    fn predict_batch(&self, data: &Dataset) -> Vec<f32> {
-        sigmoid_margin_batch(&self.w, self.b, data)
-    }
-
-    fn descriptor(&self) -> Vec<f64> {
-        // Not one of the sixteen AutoML families: shares the SGD slot
-        // (both plain linear margin learners; Fig 18c never compares it).
-        crate::normalize_descriptor(vec![self.epochs as f64], 0)
-    }
-}
-
 /// Passive-aggressive classifier (PA-I with aggressiveness `c`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PassiveAggressive {
@@ -530,11 +470,6 @@ mod tests {
     #[test]
     fn logreg_learns() {
         check_learns(&mut LogisticRegression::default(), 0.97);
-    }
-
-    #[test]
-    fn perceptron_learns() {
-        check_learns(&mut Perceptron::default(), 0.9);
     }
 
     #[test]

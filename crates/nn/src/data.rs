@@ -148,31 +148,6 @@ impl Dataset {
     pub fn column_f64(&self, c: usize) -> Vec<f64> {
         (0..self.rows()).map(|i| self.row(i)[c] as f64).collect()
     }
-
-    /// Splits into `k` contiguous folds; fold `i` is the validation side,
-    /// the rest train.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `k` exceeds the row count.
-    pub fn fold(&self, k: usize, i: usize) -> (Dataset, Dataset) {
-        assert!(k >= 2, "need at least two folds");
-        assert!(k <= self.rows(), "more folds than rows");
-        assert!(i < k, "fold index out of range");
-        let n = self.rows();
-        let lo = i * n / k;
-        let hi = (i + 1) * n / k;
-        let mut train = Dataset::new(self.dim);
-        let mut val = Dataset::new(self.dim);
-        for r in 0..n {
-            if r >= lo && r < hi {
-                val.push(self.row(r), self.y[r]);
-            } else {
-                train.push(self.row(r), self.y[r]);
-            }
-        }
-        (train, val)
-    }
 }
 
 #[cfg(test)]
@@ -248,24 +223,6 @@ mod tests {
     fn positive_rate_counts() {
         let d = sample();
         assert!((d.positive_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn folds_partition_rows() {
-        let d = sample();
-        let mut total_val = 0;
-        for i in 0..5 {
-            let (train, val) = d.fold(5, i);
-            assert_eq!(train.rows() + val.rows(), d.rows());
-            total_val += val.rows();
-        }
-        assert_eq!(total_val, d.rows());
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least two folds")]
-    fn one_fold_panics() {
-        sample().fold(1, 0);
     }
 
     #[test]

@@ -7,48 +7,6 @@
 //! valid page-aligned range.
 
 use crate::{Trace, MAX_IO_SIZE, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
-
-/// One augmentation function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Augmentation {
-    /// Multiply the request rate by the factor (`> 0`).
-    Rerate(f64),
-    /// Multiply request sizes by the factor (`> 0`), page-aligned and
-    /// clamped to `[PAGE_SIZE, MAX_IO_SIZE]`.
-    Resize(f64),
-}
-
-impl Augmentation {
-    /// The paper's standard augmentation set (§6.1).
-    pub const PAPER_SET: [Augmentation; 5] = [
-        Augmentation::Rerate(0.1),
-        Augmentation::Rerate(0.5),
-        Augmentation::Rerate(2.0),
-        Augmentation::Resize(2.0),
-        Augmentation::Resize(4.0),
-    ];
-
-    /// Short tag used in experiment output, e.g. `"rerate2x"`.
-    pub fn tag(self) -> String {
-        match self {
-            Augmentation::Rerate(f) => format!("rerate{f}x"),
-            Augmentation::Resize(f) => format!("resize{f}x"),
-        }
-    }
-
-    /// Applies the augmentation, returning a new trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factor is not positive or not finite.
-    pub fn apply(self, trace: &Trace) -> Trace {
-        match self {
-            Augmentation::Rerate(f) => rerate(trace, f),
-            Augmentation::Resize(f) => resize(trace, f),
-        }
-    }
-}
 
 /// Multiplies the request rate by `factor` by scaling interarrival gaps.
 ///
@@ -89,14 +47,6 @@ pub fn resize(trace: &Trace, factor: f64) -> Trace {
         out.push(c);
     }
     Trace::new(format!("{}+resize{factor}x", trace.name), out)
-}
-
-/// Expands one trace into itself plus every augmentation in `set`.
-pub fn augmented_pool(trace: &Trace, set: &[Augmentation]) -> Vec<Trace> {
-    let mut pool = Vec::with_capacity(set.len() + 1);
-    pool.push(trace.clone());
-    pool.extend(set.iter().map(|a| a.apply(trace)));
-    pool
 }
 
 #[cfg(test)]
@@ -159,13 +109,6 @@ mod tests {
         let t = mk_trace(10, PAGE_SIZE, 3);
         let r = resize(&t, 0.1);
         assert!(r.requests.iter().all(|q| q.size == PAGE_SIZE));
-    }
-
-    #[test]
-    fn paper_set_produces_six_traces() {
-        let t = mk_trace(10, PAGE_SIZE, 10);
-        let pool = augmented_pool(&t, &Augmentation::PAPER_SET);
-        assert_eq!(pool.len(), 6);
     }
 
     #[test]
