@@ -61,7 +61,9 @@ pub enum Route {
 ///
 /// The replayer calls [`Policy::route_read`] for every read (writes are
 /// replicated to all devices), then reports submissions and completions
-/// back so stateful policies can track device health.
+/// back so stateful policies can track device health. A policy that reads
+/// none of that declares so with [`Policy::observes_devices`], and the
+/// replayer then skips tracking it.
 pub trait Policy {
     /// Display name, e.g. `"c3"` or `"heimdall-j3"`.
     fn name(&self) -> &str;
@@ -88,6 +90,21 @@ pub trait Policy {
         _latency_us: u64,
         _now: u64,
     ) {
+    }
+
+    /// Whether the policy reads device state: the queue lengths in
+    /// [`Policy::route_read`]'s views, [`Policy::on_submit`] or
+    /// [`Policy::on_completion`]. A property of the policy type, not an
+    /// option.
+    ///
+    /// With `false` the replayer tracks no device queues and schedules no
+    /// completion events: every view's `queue_len` is 0 (the slice still
+    /// has one view per replica), and neither callback fires. Routing,
+    /// latencies and every counter are those of the observed replay. The
+    /// default `true` is always safe; a wrapper keeps it, since what it
+    /// wraps, or the wrapper itself, may observe.
+    fn observes_devices(&self) -> bool {
+        true
     }
 
     /// Total model inferences performed (0 for non-ML policies); feeds the
@@ -173,6 +190,31 @@ mod tests {
         assert_eq!(e.get_or(0.0), 10.0);
         e.update(20.0);
         assert_eq!(e.get_or(0.0), 15.0);
+    }
+
+    /// Only the three non-learning baselines skip device tracking; every
+    /// heuristic, learned policy and wrapper observes.
+    #[test]
+    fn only_the_stateless_baselines_skip_observation() {
+        use heimdall_core::pipeline::{PipelineConfig, Trained};
+        let stateless: [&dyn Policy; 3] = [&Baseline, &RandomSelect::new(1), &Hedging::default()];
+        for p in stateless {
+            assert!(!p.observes_devices(), "{} observes", p.name());
+        }
+        let models = |cfg: PipelineConfig| vec![Trained::always_admit(&cfg); 2];
+        let (heimdall, linnos) = (PipelineConfig::heimdall, PipelineConfig::linnos_baseline);
+        let observing: Vec<Box<dyn Policy>> = vec![
+            Box::new(C3::new()),
+            Box::new(Ams::new()),
+            Box::new(Heron::new()),
+            Box::new(HeimdallPolicy::new(models(heimdall()))),
+            Box::new(LinnOsPolicy::new(models(linnos()))),
+            Box::new(LinnOsHedgePolicy::new(models(linnos()), 2_000)),
+            Box::new(FallbackPolicy::new(Box::new(Baseline), Box::new(Baseline))),
+        ];
+        for p in &observing {
+            assert!(p.observes_devices(), "{} skips observation", p.name());
+        }
     }
 
     #[test]

@@ -14,6 +14,10 @@ impl Policy for Baseline {
         "baseline"
     }
 
+    fn observes_devices(&self) -> bool {
+        false
+    }
+
     fn route_read(
         &mut self,
         _req: &IoRequest,
@@ -43,6 +47,10 @@ impl RandomSelect {
 impl Policy for RandomSelect {
     fn name(&self) -> &str {
         "random"
+    }
+
+    fn observes_devices(&self) -> bool {
+        false
     }
 
     fn route_read(
@@ -88,6 +96,10 @@ impl Default for Hedging {
 impl Policy for Hedging {
     fn name(&self) -> &str {
         "hedging"
+    }
+
+    fn observes_devices(&self) -> bool {
+        false
     }
 
     fn route_read(
