@@ -14,7 +14,7 @@ use heimdall_core::collect::{IoRecord, ReadView, RecordBatch};
 use heimdall_core::pipeline::{PipelineConfig, Trained};
 use heimdall_nn::Dataset;
 use heimdall_policies::Policy;
-use heimdall_ssd::{DeviceConfig, FaultPlan, SsdDevice};
+use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultWindow, SsdDevice};
 use heimdall_trace::gen::TraceBuilder;
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, Trace, WorkloadProfile, PAGE_SIZE};
@@ -169,6 +169,37 @@ pub fn replay_with_plans(
 ) -> ReplayResult {
     let mut devices = fresh_devices_with_plans(cfgs, plans, seed ^ 0xdead).unwrap();
     replay_homed(requests, &mut devices, policy)
+}
+
+/// Builds a valid fault timeline from unsorted random cut points: cuts are
+/// sorted and deduped, then consecutive pairs become windows with kinds
+/// cycled over all three classes. Valid by construction (sorted, disjoint,
+/// non-empty, finite multiplier ≥ 1), and shrinking the cut vector shrinks
+/// the plan.
+pub fn plan_from_cuts(cuts: &[u64], offset: u64) -> FaultPlan {
+    let mut cuts: Vec<u64> = cuts.iter().map(|c| c + offset).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let kinds = [
+        FaultKind::FailSlow,
+        FaultKind::FirmwareStall,
+        FaultKind::FailStop,
+    ];
+    let windows: Vec<FaultWindow> = cuts
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(i, pair)| FaultWindow {
+            start_us: pair[0],
+            end_us: pair[1],
+            kind: kinds[i % kinds.len()],
+            multiplier: if kinds[i % kinds.len()] == FaultKind::FailSlow {
+                1.0 + (i % 7) as f64 * 4.0
+            } else {
+                1.0
+            },
+        })
+        .collect();
+    FaultPlan::try_new(windows).expect("cut construction yields a valid plan")
 }
 
 /// A single random request with arrival in `[0, max_t)`.

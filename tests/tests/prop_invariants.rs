@@ -18,7 +18,7 @@ use heimdall_cluster::replayer::{merge_homed, merge_homed_reference, replay_home
 use heimdall_cluster::train::fresh_devices_with_plans;
 use heimdall_cluster::{DeviceLane, EventQueue};
 use heimdall_integration::diff::{random_model, random_stream, LANE_BITS};
-use heimdall_integration::gen::{random_trace, ViewForms};
+use heimdall_integration::gen::{plan_from_cuts, random_trace, ViewForms};
 use heimdall_integration::prop::{check, tuple2, tuple3, u64_in, usize_in, vec_of, Config};
 use heimdall_metrics::{roc_auc, LatencyRecorder};
 use heimdall_models::automl::Family;
@@ -26,42 +26,11 @@ use heimdall_nn::{
     Activation, Dataset, Mlp, MlpConfig, OutputLayer, QuantizedMlp, Scaler, ScalerKind,
 };
 use heimdall_policies::{Baseline, Hedging, Policy, RandomSelect};
-use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultPlanError, FaultWindow, SsdDevice};
+use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultPlanError, SsdDevice};
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, Trace, PAGE_SIZE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Builds a valid fault timeline from unsorted random cut points: cuts are
-/// sorted and deduped, then consecutive pairs become windows with kinds
-/// cycled over all three classes. Valid by construction (sorted, disjoint,
-/// non-empty, finite multiplier ≥ 1), and shrinking the cut vector shrinks
-/// the plan.
-fn plan_from_cuts(cuts: &[u64], offset: u64) -> FaultPlan {
-    let mut cuts: Vec<u64> = cuts.iter().map(|c| c + offset).collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let kinds = [
-        FaultKind::FailSlow,
-        FaultKind::FirmwareStall,
-        FaultKind::FailStop,
-    ];
-    let windows: Vec<FaultWindow> = cuts
-        .chunks_exact(2)
-        .enumerate()
-        .map(|(i, pair)| FaultWindow {
-            start_us: pair[0],
-            end_us: pair[1],
-            kind: kinds[i % kinds.len()],
-            multiplier: if kinds[i % kinds.len()] == FaultKind::FailSlow {
-                1.0 + (i % 7) as f64 * 4.0
-            } else {
-                1.0
-            },
-        })
-        .collect();
-    FaultPlan::try_new(windows).expect("cut construction yields a valid plan")
-}
 
 /// A homed two-device read/write stream derived from one seed.
 fn homed_stream(seed: u64) -> Vec<HomedRequest> {
