@@ -595,10 +595,12 @@ fn replay_homed_impl<P: ReplayProbe>(
                 eng.result.writes += 1;
                 eng.probe.start();
                 for (i, dev) in eng.devices.iter_mut().enumerate() {
+                    // Nothing reads a write's completion unless the policy
+                    // observes the devices.
                     let done = if observe {
-                        dev.try_submit(req, now)
+                        dev.try_submit(req, now).map(drop)
                     } else {
-                        dev.try_submit_untracked(req, now)
+                        dev.try_submit_unobserved(req, now)
                     };
                     // A replica inside a fail-stop outage misses the write;
                     // its lane counter records only the writes it served.

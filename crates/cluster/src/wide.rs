@@ -264,11 +264,12 @@ pub fn run_wide(cfg: &WideConfig, policy: WidePolicy) -> WideResult {
                     op: IoOp::Write,
                 };
                 eng.next_id += 1;
-                // A noise write into an outage window is simply lost.
+                // A noise write into an outage window is simply lost. With
+                // no admission, nothing reads its completion.
                 if eng.admission.is_some() {
                     let _ = eng.osds[osd].try_submit(&req, now);
                 } else {
-                    let _ = eng.osds[osd].try_submit_untracked(&req, now);
+                    let _ = eng.osds[osd].try_submit_unobserved(&req, now);
                 }
             }
             Source::Client => {
