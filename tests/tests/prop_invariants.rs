@@ -25,7 +25,9 @@ use heimdall_models::automl::Family;
 use heimdall_nn::{
     Activation, Dataset, Mlp, MlpConfig, OutputLayer, QuantizedMlp, Scaler, ScalerKind,
 };
-use heimdall_policies::{Baseline, Hedging, Policy, RandomSelect};
+use heimdall_policies::{
+    Baseline, FallbackPolicy, Hedging, HeimdallPolicy, Policy, RandomSelect, C3,
+};
 use heimdall_ssd::{DeviceConfig, FaultKind, FaultPlan, FaultPlanError, SsdDevice};
 use heimdall_trace::rng::Rng64;
 use heimdall_trace::{IoOp, IoRequest, Trace, PAGE_SIZE};
@@ -374,15 +376,34 @@ fn prop_threshold_tuner_matches_reference() {
     );
 }
 
+/// One small Heimdall model per device of [`two_datacenter_cfgs`], trained
+/// once per process on a 4 s contention trace.
+fn small_models() -> Vec<heimdall_core::pipeline::Trained> {
+    use heimdall_core::collect::collect_batch;
+    use heimdall_core::pipeline::{run_batch, PipelineConfig, Trained};
+    use heimdall_integration::gen::contention_trace;
+    static MODEL: std::sync::OnceLock<Trained> = std::sync::OnceLock::new();
+    let model = MODEL.get_or_init(|| {
+        let mut device = SsdDevice::new(DeviceConfig::datacenter_nvme(), 0x07);
+        let records = collect_batch(&contention_trace(0x07, 4), &mut device);
+        run_batch(&records, &PipelineConfig::heimdall())
+            .expect("a contention log trains")
+            .0
+    });
+    vec![model.clone(), model.clone()]
+}
+
 /// Property 7: Replay conservation under arbitrary valid fault timelines: every
 /// read and write in the stream lands in the result exactly once, no
-/// matter which windows fire or which route shape (plain, random, hedged)
-/// the policy returns, and the per-device lanes add up to the scalar
-/// counters they disaggregate.
+/// matter which windows fire or which route shape (plain, random, hedged,
+/// admitted or declined by a model, or by its fallback) the policy
+/// returns, and the per-device lanes add up to the scalar counters they
+/// disaggregate. The ML policies observe the devices, so they replay
+/// through tracked submissions; the others through unobserved writes.
 #[test]
 fn prop_replay_conserves_requests_under_faults() {
     let strat = tuple3(
-        tuple2(u64_in(0..=1 << 40), usize_in(0..=2)),
+        tuple2(u64_in(0..=1 << 40), usize_in(0..=4)),
         vec_of(u64_in(0..=2_000_000), 0..=6),
         vec_of(u64_in(0..=2_000_000), 0..=6),
     );
@@ -401,7 +422,12 @@ fn prop_replay_conserves_requests_under_faults() {
                 0 => Box::new(Baseline),
                 1 => Box::new(RandomSelect::new(*seed)),
                 // Short enough that hedges fire into the fault windows.
-                _ => Box::new(Hedging::new(200)),
+                2 => Box::new(Hedging::new(200)),
+                3 => Box::new(HeimdallPolicy::new(small_models())),
+                _ => Box::new(FallbackPolicy::new(
+                    Box::new(HeimdallPolicy::new(small_models())),
+                    Box::new(C3::new()),
+                )),
             };
             let result = replay_homed(&requests, &mut devices, policy.as_mut());
             if result.reads.len() != reads {
